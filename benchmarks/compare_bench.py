@@ -12,11 +12,11 @@ any row's throughput regressed by more than ``--threshold`` (default
 Four gated **profiles**, selected with ``--profile``:
 
 * ``sim`` (default): ``BENCH_sim.json`` rows keyed by ``label``
-  (``interp-idle``, ``blocks-memloop``, ...), rates from
+  (``interp-idle``, ``interp-memloop``, ``interp-attest``), rates from
   ``steps_per_sec``, normalized to the ``interp-idle`` row -- so the
-  gate tracks the blocks-engine speedups per workload (idle loop,
-  memory-heavy loop, attestation inner loop) and the interpreter's
-  workload overhead ratios rather than absolute runner speed.
+  gate tracks the interpreter's workload overhead ratios (memory-heavy
+  loop and attestation inner loop against the idle loop) rather than
+  absolute runner speed.
 * ``fleet``: ``BENCH_fleet.json`` rows keyed by ``label``, rates from
   ``exchanges_per_sec``, normalized to the single-device
   ``loopback-1`` row -- so the gate tracks how fleet/cluster
@@ -37,7 +37,7 @@ Two comparison modes:
 
 * **normalized** (default): each file's rows are divided by that file's
   reference row before comparing, so the check tracks the *relative*
-  speedups (blocks-vs-interp, cluster-vs-single and so on) and is
+  speedups (memloop-vs-idle, cluster-vs-single and so on) and is
   immune to CI runners of different absolute speed.
 * ``--absolute``: raw rates are compared directly.  Only meaningful
   when baseline and current ran on comparable hardware.

@@ -10,12 +10,10 @@ On a multi-core box the process backend must reach >= 2x the serial
 wall clock at 4 jobs; on single-core CI runners the scaling assertion
 is skipped (there is nothing to scale onto) and the table is recorded
 for the trajectory only.  Row-for-row identity between the backends
-(serial/thread/process/warm) is pinned separately by
+(serial/process/warm) is pinned separately by
 ``tests/integration/test_campaign.py``.
 
-The table also records the ``thread`` backend (share-nothing correct,
-but GIL-bound -- it only scales on free-threaded runtimes, which is
-why it exists) and the warm persistent process pool, whose workers
+The table also records the warm persistent process pool, whose workers
 keep their per-process caches (assembled firmware images, LTL models,
 HMAC key states) across campaigns.
 
@@ -67,8 +65,7 @@ def test_campaign_scaling_attack_gallery(benchmark, table_printer, bench_json):
     """Scenarios/sec of the E6/E9 attack-gallery sweep vs. backend/jobs."""
     serial_seconds, scenario_count = _sweep_seconds("serial", 1)
     timings = {("serial", 1, False): serial_seconds}
-    for backend, jobs, warm in (("thread", 4, False),
-                                ("process", 2, False),
+    for backend, jobs, warm in (("process", 2, False),
                                 ("process", 4, False),
                                 ("process", 4, True)):
         timings[(backend, jobs, warm)], _ = _sweep_seconds(backend, jobs,

@@ -1,9 +1,12 @@
 """Setuptools shim.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-the package can be installed in editable mode on minimal offline
-environments that lack the ``wheel`` package (``pip install -e .
---no-use-pep517 --no-build-isolation`` or ``python setup.py develop``).
+This file is the only packaging file and carries no metadata: a bare
+``setup()`` lets setuptools' automatic discovery find the ``repro``
+package under ``src/``, so ``pip install -e .`` (add
+``--no-use-pep517 --no-build-isolation`` on offline environments that
+lack ``wheel``) or ``python setup.py develop`` installs it under the
+placeholder distribution name ``UNKNOWN``.  The tests, examples and
+benchmarks do not need an install; they run with ``PYTHONPATH=src``.
 """
 
 from setuptools import setup

@@ -15,10 +15,6 @@ the reproduced tables and figures.
 from repro.memory import Memory, MemoryLayout, MemoryRegion, InterruptVectorTable
 from repro.isa import Assembler, AssembledImage
 from repro.device import Device, DeviceConfig, TraceRecorder, Waveform
-from repro.cpu import (
-    set_engine as set_exec_engine,
-    use_engine as use_exec_engine,
-)
 from repro.crypto import (
     KeyStore,
     DeviceKey,
@@ -154,8 +150,6 @@ __all__ = [
     "sha256",
     "set_crypto_backend",
     "use_crypto_backend",
-    "set_exec_engine",
-    "use_exec_engine",
     "VrasedConfig",
     "VrasedMonitor",
     "SwAtt",

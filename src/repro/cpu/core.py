@@ -37,17 +37,7 @@ from repro.cpu.signals import MemoryRead, MemoryWrite, SignalBundle
 
 
 class CPUError(Exception):
-    """Raised on unrecoverable execution errors (bad opcodes, bad state).
-
-    ``engine`` names the execution engine that was driving the CPU when
-    the error was latched by :meth:`repro.device.mcu.Device.step` /
-    ``run_batch`` (``None`` when the CPU was stepped directly).  It is
-    diagnostic context only -- the rendered message stays
-    engine-independent so crash bundles are byte-identical across
-    engines.
-    """
-
-    engine = None
+    """Raised on unrecoverable execution errors (bad opcodes, bad state)."""
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -170,9 +160,8 @@ class CPU:
 
     def reset(self, stack_top=None):
         """Reset the core: clear registers and load PC from the reset vector."""
-        # In place, not a rebind: compiled execution engines pre-bind
-        # this exact list object into their closures, and a warm
-        # (watchdog) reset must not strand them on a stale register file.
+        # In place, not a rebind: anyone holding ``cpu.registers`` keeps
+        # seeing the live register file across a warm (watchdog) reset.
         self.registers[:] = [0] * REGISTER_COUNT
         self.pc = self.ivt.get_reset_vector()
         if stack_top is not None:

@@ -60,11 +60,6 @@ class DecodeCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: Called (no arguments) whenever the cache is fully cleared, so
-        #: derived state -- compiled basic blocks in the ``blocks``
-        #: execution engine -- is dropped along with the decodes it was
-        #: built from.
-        self._clear_listeners = []
         DecodeCache._live.add(self)
 
     def __len__(self):
@@ -125,25 +120,10 @@ class DecodeCache:
             self._max_pc = -1
 
     def clear(self):
-        """Drop every cached entry (counters are preserved).
-
-        Clear listeners fire too, so compiled-block state derived from
-        the cached decodes starts clean as well -- this is what lets an
-        execution-engine swap mid-session begin from a blank slate.
-        """
+        """Drop every cached entry (counters are preserved)."""
         self._entries.clear()
         self._min_pc = 0x10000
         self._max_pc = -1
-        for listener in self._clear_listeners:
-            listener()
-
-    def add_clear_listener(self, callback):
-        """Register *callback()* to run after every full :meth:`clear`."""
-        self._clear_listeners.append(callback)
-
-    def remove_clear_listener(self, callback):
-        """Remove a previously registered clear listener."""
-        self._clear_listeners.remove(callback)
 
     # ------------------------------------------------------------ statistics
 

@@ -1,173 +1,38 @@
-"""Pluggable execution engines for the simulation hot path.
+"""The execution engine: the decode-cached interpreter loop.
 
-The fetch--decode--execute loop used to be smeared across
-:meth:`repro.cpu.core.CPU.step` and the private chunk helpers of
-:class:`repro.device.mcu.Device`.  This module pulls that machinery
-behind one interface -- :class:`ExecutionEngine` -- and keeps two
-interchangeable implementations behind a registry, exactly like the
-crypto backends in :mod:`repro.crypto.backend`:
+:class:`InterpreterEngine` runs a device's fetch--decode--execute
+loop: single observed steps delegate to the
+:class:`~repro.cpu.core.CPU`, and the batched chunk loops run the
+quiescent stretches ``Device.run_batch`` hands over.
 
-* ``"interp"`` -- the decode-cached interpreter loop (the in-tree
-  reference; every other engine is differentially pinned against it);
-* ``"blocks"`` -- a trace-compiled engine that walks the decode cache
-  to discover hot blocks, compiles each instruction into a specialized
-  Python closure with operand values, flag masks, the register file and
-  the memory accessors pre-bound, and re-runs whole blocks per
-  dictionary lookup instead of paying one dispatch per instruction.
-
-The ``blocks`` compiler is a v2 trace compiler:
-
-* **Wide specialization** -- flat closures cover Format I ops with
-  register/constant/immediate/absolute/indexed/indirect/autoincrement
-  sources and register or memory destinations (including ``DADD``),
-  Format II register and memory forms (``RRC``/``RRA``/``SWPB``/``SXT``,
-  ``PUSH``) and all eight jumps.  Memory operands go through the
-  :class:`~repro.memory.memory.Memory` accessors, so watchers and the
-  write-listener invalidation path fire exactly as in the reference.
-* **Superblocks** -- compilation continues across unconditional
-  ``JMP``/``BR``-shape terminators, so straight-line runs separated by
-  a jump (including unrolled self-loops) become one block.  A block
-  therefore covers a *list* of byte spans; invalidation checks them all.
-* **Block chaining** -- when a block exits with a known next block
-  (statically, via an unconditional exit, or dynamically through the
-  post-run PC), execution jumps block-to-block inside the silent
-  quiescent chunk without returning to the driver, bounded by
-  ``MAX_CHAIN_HOPS`` and severed by the ``valid=False`` latch, a
-  peripheral wake-up or a ``CPUOFF`` write.
-
-``REPRO_BLOCKS_SUPERBLOCKS=0`` (or ``DeviceConfig.blocks_superblocks``)
-disables superblocks and chaining; ``REPRO_BLOCKS_MAX_OPS`` overrides
-the block-length cap.  Both exist so CI can pin the fallback paths.
-
-Selection, most specific first:
-
-1. ``DeviceConfig.exec_engine`` (forwarded from ``TestbenchConfig`` /
-   ``ScenarioSpec`` overrides / the ``--engine`` CLI flag),
-2. :func:`set_engine` / the :func:`use_engine` context manager,
-3. the ``REPRO_EXEC_BACKEND`` environment variable,
-4. the default (``"interp"``).
-
-Correctness contract
---------------------
-
-An engine must be *observably invisible*: byte-identical traces,
-monitor observations, registers, memory, cycle/step accounting and
-crash behaviour versus the reference.  The ``blocks`` engine keeps that
-contract by construction where it matters and by fallback everywhere
-else:
-
-* Observed steps (monitors attached or tracing on) always run the
-  reference loop -- compiled blocks only ever execute on the
-  observer-free silent path, where no signal bundle is materialised.
-* Ops the compiler does not specialize run a *generic* closure that
-  replays the reference handler with the same PC-advance and
-  read/write-list bookkeeping as ``CPU.step_silent``.
-* Blocks containing memory stores are re-checked after every op:
-  a store that rewrites the running block (self-modifying attack code)
-  or touches the peripheral page aborts the block at exactly the
-  instruction boundary where the interpreter would have reacted.
-  Specialized ops that can store set ``PC`` to their successor *before*
-  executing (mirroring the reference's advance-before-handler order),
-  so an abort always lands on a state the interpreter could produce.
-* Every memory mutation invalidates overlapping blocks through the
-  same write-listener path the decode cache uses, and
-  :meth:`repro.cpu.decode_cache.DecodeCache.clear` flushes compiled
-  state through its clear-listener hook.  Invalidation latches
-  ``valid=False`` on the dropped blocks, which both aborts an in-flight
-  run and severs any chain that would re-enter them.
+Every step -- observed (monitors attached or tracing on) or silent --
+goes through the CPU's decode-cached fetch, so traces, monitor
+observations, registers, memory, cycle/step accounting and crash
+behaviour are exactly those of per-step :meth:`Device.step` calls.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
-from contextlib import contextmanager
 
-from repro.cpu.core import (
-    CPU,
-    CPUError,
-    _C,
-    _CPUOFF,
-    _KEEP_NON_ARITH,
-    _N,
-    _V,
-    _Z,
-)
-from repro.cpu.decode_cache import FULL_FLUSH_THRESHOLD
-from repro.isa.instructions import AddressingMode, InstructionFormat, Opcode
-from repro.isa.registers import CG, PC, SP, SR
+from repro.cpu.core import CPU, CPUError
 from repro.obs.metrics import register_global_collector
 
-#: Environment variable selecting the process-wide default engine.
-ENV_VAR = "REPRO_EXEC_BACKEND"
 
-#: Engine used when nothing else selects one.
-DEFAULT_ENGINE = "interp"
+class InterpreterEngine:
+    """The decode-cached interpreter loop driving one device."""
 
-#: Environment variable disabling superblocks + chaining (``0``/``off``).
-SUPERBLOCKS_ENV = "REPRO_BLOCKS_SUPERBLOCKS"
-
-#: Environment variable overriding :data:`MAX_BLOCK_OPS`.
-MAX_OPS_ENV = "REPRO_BLOCKS_MAX_OPS"
-
-_FALSE_VALUES = frozenset(("0", "false", "off", "no"))
-
-
-def superblocks_enabled_default():
-    """The process-wide superblocks default (:data:`SUPERBLOCKS_ENV`)."""
-    raw = os.environ.get(SUPERBLOCKS_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSE_VALUES
-
-
-def _max_block_ops_default():
-    raw = os.environ.get(MAX_OPS_ENV)
-    if raw is None:
-        return 64
-    try:
-        value = int(raw)
-    except ValueError:
-        return 64
-    return max(1, value)
-
-
-class ExecutionEngine:
-    """Base class: the reference step/chunk implementations.
-
-    The base class *is* the interpreter: ``step``/``step_quiet``/
-    ``step_silent`` delegate to the :class:`~repro.cpu.core.CPU`
-    methods, and the chunk loops are the bodies that used to live on
-    :class:`~repro.device.mcu.Device`.  Subclasses override the pieces
-    they accelerate and inherit reference behaviour for the rest.
-    """
-
-    name = "abstract"
+    name = "interp"
 
     #: Live instances, for process-wide telemetry snapshots: the
-    #: ``engine.*`` registry collector sums :meth:`stats` over these at
-    #: snapshot time, so the step loop itself never touches a registry.
+    #: ``engine.*`` registry collector counts these at snapshot time,
+    #: so the step loop itself never touches a registry.
     _live = weakref.WeakSet()
 
     def __init__(self, device):
         self.device = device
         self.cpu: CPU = device.cpu
-        ExecutionEngine._live.add(self)
-
-    # ------------------------------------------------------------ lifecycle
-
-    def attach(self):
-        """Register listeners (called once the device wiring exists)."""
-
-    def detach(self):
-        """Unregister listeners (engine is being swapped out)."""
-
-    def reset(self):
-        """Drop engine-private state on a device reset."""
-
-    def stats(self):
-        """Engine counters for benches and diagnostics."""
-        return {"engine": self.name}
+        InterpreterEngine._live.add(self)
 
     # ------------------------------------------------------------ stepping
 
@@ -246,1408 +111,19 @@ class ExecutionEngine:
         return executed
 
 
-class InterpreterEngine(ExecutionEngine):
-    """The decode-cached interpreter loop (the reference engine)."""
-
-    name = "interp"
-
-
-# ---------------------------------------------------------------------------
-# The trace-compiled block engine
-# ---------------------------------------------------------------------------
-
-#: Longest block the compiler will form (instruction count, including
-#: absorbed superblock jumps).  Overridable via ``REPRO_BLOCKS_MAX_OPS``
-#: so CI can pin the 1-op degenerate case.
-MAX_BLOCK_OPS = _max_block_ops_default()
-
-#: Most block-to-block hops a single driver dispatch may take before
-#: returning to the chunk loop (bounds time away from the driver's
-#: budget checks; the per-block step budget is still enforced).
-MAX_CHAIN_HOPS = 64
-
-#: Format I opcodes that write their destination (CMP/BIT only set flags).
-_WRITEBACK_DOUBLE = frozenset((
-    Opcode.MOV, Opcode.ADD, Opcode.ADDC, Opcode.SUB, Opcode.SUBC,
-    Opcode.DADD, Opcode.BIC, Opcode.BIS, Opcode.XOR, Opcode.AND,
-))
-#: Format II opcodes that write their operand back.
-_WRITEBACK_SINGLE = frozenset((Opcode.RRC, Opcode.SWPB, Opcode.RRA, Opcode.SXT))
-
-_REGISTER = AddressingMode.REGISTER
-_CONSTANT = AddressingMode.CONSTANT
-_IMMEDIATE = AddressingMode.IMMEDIATE
-_INDEXED = AddressingMode.INDEXED
-_SYMBOLIC = AddressingMode.SYMBOLIC
-_ABSOLUTE = AddressingMode.ABSOLUTE
-_INDIRECT = AddressingMode.INDIRECT
-_AUTOINCREMENT = AddressingMode.AUTOINCREMENT
-
-
-def _block_terminator(instruction):
-    """Classify *instruction* as a block terminator.
-
-    Returns ``(ends_block, writes_pc)``.  A block ends at control flow
-    (jumps, ``CALL``, ``RETI``), at any instruction that can write PC
-    (so the driver re-dispatches from the new target) and at any
-    instruction that can write SR as a register (a ``CPUOFF`` write must
-    be seen by the per-step sleep check before the next instruction).
-    """
-    opcode = instruction.opcode
-    fmt = opcode.format
-    if fmt is InstructionFormat.JUMP:
-        return True, True
-    if opcode is Opcode.CALL or opcode is Opcode.RETI:
-        return True, True
-    if fmt is InstructionFormat.DOUBLE_OPERAND:
-        dst = instruction.dst
-        if opcode in _WRITEBACK_DOUBLE and dst.mode is _REGISTER:
-            if dst.register == PC:
-                return True, True
-            if dst.register == SR:
-                return True, False
-    elif opcode in _WRITEBACK_SINGLE:
-        src = instruction.src
-        if src.mode is _REGISTER and src.register in (PC, SR):
-            return True, src.register == PC
-    return False, False
-
-
-def _writes_memory(instruction):
-    """``True`` when executing *instruction* can mutate memory."""
-    opcode = instruction.opcode
-    if opcode is Opcode.PUSH or opcode is Opcode.CALL:
-        return True
-    if opcode.format is InstructionFormat.DOUBLE_OPERAND:
-        return opcode in _WRITEBACK_DOUBLE and instruction.dst.mode is not _REGISTER
-    if opcode in _WRITEBACK_SINGLE:
-        return instruction.src.mode is not _REGISTER
-    return False
-
-
-def _static_target(instruction, pc):
-    """The statically known PC after *instruction*, or ``None``.
-
-    Covers the unconditional exits: ``JMP`` (target is an offset from
-    the advanced PC), the ``BR``-shape ``MOV #imm, PC`` (the PC write
-    masks the low bit like the reference register write) and
-    ``CALL #imm`` (for chaining only -- the push keeps it from being
-    absorbed into a superblock).
-    """
-    opcode = instruction.opcode
-    if opcode is Opcode.JMP:
-        return (pc + 2 + instruction.jump_offset) & 0xFFFF
-    if opcode is Opcode.MOV:
-        src = instruction.src
-        dst = instruction.dst
-        if (dst.mode is _REGISTER and dst.register == PC
-                and (src.mode is _IMMEDIATE or src.mode is _CONSTANT)):
-            mask = 0xFF if instruction.byte_mode else 0xFFFF
-            return src.value & mask & 0xFFFE
-    if opcode is Opcode.CALL and not instruction.byte_mode:
-        src = instruction.src
-        if src.mode is _IMMEDIATE or src.mode is _CONSTANT:
-            return src.value & 0xFFFF & 0xFFFE
-    return None
-
-
-def _nop_op():
-    """Stand-in op for absorbed superblock jumps (control continues
-    inside the block; the driver's exit-PC restore covers a cut-off)."""
-
-
-class CompiledBlock:
-    """A compiled run of instructions (possibly spanning jumps)."""
-
-    __slots__ = ("start", "spans", "exit_pc", "ops", "op_cycles", "count",
-                 "cycles_total", "last_cycles", "mutates", "sets_pc",
-                 "static_exit", "chain", "valid")
-
-    def __init__(self, start, spans, exit_pc, ops, op_cycles, mutates,
-                 sets_pc, static_exit):
-        self.start = start
-        #: Byte spans (start, end-exclusive) of the code this block was
-        #: compiled from; a write into any of them invalidates it.
-        self.spans = spans
-        #: PC after a full run when the final op does not set PC itself.
-        self.exit_pc = exit_pc
-        self.ops = ops
-        self.op_cycles = op_cycles
-        self.count = len(ops)
-        self.cycles_total = sum(op_cycles)
-        self.last_cycles = op_cycles[-1]
-        #: Any op can store to memory: run with per-op abort checks.
-        self.mutates = mutates
-        #: The final op assigns PC itself (jump/call/PC-writing op).
-        self.sets_pc = sets_pc
-        #: Statically known PC after a full run (chain target), if any.
-        self.static_exit = static_exit
-        #: Cached chain successor (revalidated against ``valid``).
-        self.chain = None
-        #: Cleared by the write listener when code bytes are rewritten.
-        self.valid = True
-
-
-class BlockEngine(ExecutionEngine):
-    """Trace-compiled blocks over the reference interpreter.
-
-    Only the observer-free silent path is accelerated; observed steps
-    (monitors attached or tracing enabled) run the inherited reference
-    loop, which keeps traces and monitor observations byte-identical by
-    construction.  The differential suites pin the silent path
-    (registers, memory, cycle/step accounting, crash behaviour) against
-    the interpreter.
-    """
-
-    name = "blocks"
-
-    def __init__(self, device):
-        super().__init__(device)
-        self._blocks = {}
-        # Byte-address span covered by compiled blocks, for cheap
-        # invalidation rejects (peripheral writes every tick must not
-        # pay a dict scan).
-        self._span_min = 0x10000
-        self._span_max = -1
-        config = getattr(device, "config", None)
-        configured = getattr(config, "blocks_superblocks", None)
-        if configured is None:
-            self._superblocks = superblocks_enabled_default()
-        else:
-            self._superblocks = bool(configured)
-        self.compiled = 0
-        self.block_runs = 0
-        self.invalidations = 0
-        self.specialized_ops = 0
-        self.generic_ops = 0
-        self.chained_exits = 0
-
-    # ------------------------------------------------------------ lifecycle
-
-    def attach(self):
-        self.device.memory.add_write_listener(self._on_memory_write)
-        cache = self.device.decode_cache
-        if cache is not None:
-            cache.add_clear_listener(self.flush)
-
-    def detach(self):
-        self.device.memory.remove_write_listener(self._on_memory_write)
-        cache = self.device.decode_cache
-        if cache is not None:
-            cache.remove_clear_listener(self.flush)
-
-    def reset(self):
-        self.flush()
-
-    def flush(self):
-        """Drop every compiled block (counters are preserved).
-
-        Dropped blocks are latched invalid so an in-flight run aborts at
-        the current instruction boundary and no cached chain can re-enter
-        them.
-        """
-        for block in self._blocks.values():
-            block.valid = False
-        self._blocks.clear()
-        self._span_min = 0x10000
-        self._span_max = -1
-
-    def stats(self):
-        return {
-            "engine": self.name,
-            "blocks": len(self._blocks),
-            "compiled": self.compiled,
-            "block_runs": self.block_runs,
-            "block_invalidations": self.invalidations,
-            "specialized_ops": self.specialized_ops,
-            "generic_ops": self.generic_ops,
-            "chained_exits": self.chained_exits,
-            "superblocks": self._superblocks,
-        }
-
-    # ------------------------------------------------------------ invalidation
-
-    def _on_memory_write(self, address, length=1):
-        """Write listener: drop blocks whose code bytes were rewritten."""
-        blocks = self._blocks
-        if not blocks:
-            return
-        end = address + length
-        if end <= self._span_min or address >= self._span_max:
-            return
-        if length > FULL_FLUSH_THRESHOLD:
-            self.invalidations += len(blocks)
-            self.flush()
-            return
-        dead = [pc for pc, block in blocks.items()
-                if any(s < end and address < e for s, e in block.spans)]
-        for pc in dead:
-            block = blocks.pop(pc)
-            # Latch invalidity so an in-flight run of this block aborts
-            # at the current instruction boundary (self-modifying code)
-            # and cached chains into it are severed.
-            block.valid = False
-            self.invalidations += 1
-        if not blocks:
-            self._span_min = 0x10000
-            self._span_max = -1
-
-    # ------------------------------------------------------------ compilation
-
-    def _compile(self, start_pc):
-        """Compile the block starting at *start_pc*.
-
-        With superblocks enabled, compilation continues across
-        unconditional ``JMP``/``BR #imm`` terminators (including
-        back-edges, which unroll up to the op cap).  Returns a
-        :class:`CompiledBlock`, or ``None`` when no decodable
-        instruction starts there (the caller falls back to the
-        reference step, which raises the same :class:`CPUError` the
-        interpreter would).
-        """
-        fetch = self.cpu._fetch
-        superblocks = self._superblocks
-        max_ops = MAX_BLOCK_OPS
-        decoded = []  # (pc, instruction, size, cycles, absorbed)
-        spans = []
-        pc = start_pc
-        span_start = start_pc
-        sets_pc = False
-        static_exit = None
-        terminated = False
-        while len(decoded) < max_ops:
-            try:
-                instruction, size, _text, cycles = fetch(pc)
-            except CPUError:
-                break
-            if pc + size > 0x10000:
-                # The encoding wraps mod 64K; keep span byte ranges
-                # linear so invalidation stays interval comparisons.
-                break
-            ends, writes_pc = _block_terminator(instruction)
-            if ends:
-                target = _static_target(instruction, pc)
-                if (superblocks and target is not None
-                        and instruction.opcode is not Opcode.CALL
-                        and len(decoded) + 1 < max_ops):
-                    # Absorb the unconditional jump: control continues
-                    # inside this block at the target.
-                    decoded.append((pc, instruction, size, cycles, True))
-                    spans.append((span_start, pc + size))
-                    pc = target
-                    span_start = target
-                    continue
-                decoded.append((pc, instruction, size, cycles, False))
-                spans.append((span_start, pc + size))
-                pc = (pc + size) & 0xFFFF
-                sets_pc = writes_pc
-                static_exit = target
-                terminated = True
-                break
-            decoded.append((pc, instruction, size, cycles, False))
-            pc += size
-            if pc >= 0x10000:
-                break
-        if not decoded:
-            return None
-        if not terminated:
-            # Op cap, undecodable successor or 64K wrap: the block falls
-            # through to the continuation address.
-            if pc > span_start:
-                spans.append((span_start, pc))
-            pc &= 0xFFFF
-            static_exit = pc
-        exit_pc = pc
-
-        mutates = False
-        ops = []
-        op_cycles = []
-        for pc_i, instruction, size, cycles, absorbed in decoded:
-            if absorbed:
-                op = _nop_op
-                self.specialized_ops += 1
-            else:
-                if _writes_memory(instruction):
-                    mutates = True
-                next_pc = (pc_i + size) & 0xFFFF
-                op = self._specialized_op(instruction, pc_i, next_pc)
-                if op is None:
-                    op = self._generic_op(instruction, next_pc)
-                    self.generic_ops += 1
-                else:
-                    self.specialized_ops += 1
-            ops.append(op)
-            op_cycles.append(cycles)
-
-        block = CompiledBlock(start_pc, tuple(sorted(set(spans))), exit_pc,
-                              ops, op_cycles, mutates, sets_pc, static_exit)
-        self._blocks[start_pc] = block
-        for s, e in block.spans:
-            if s < self._span_min:
-                self._span_min = s
-            if e > self._span_max:
-                self._span_max = e
-        self.compiled += 1
-        return block
-
-    def _generic_op(self, instruction, next_pc):
-        """Replay the reference handler with step_silent's bookkeeping."""
-        cpu = self.cpu
-        regs = cpu.registers
-        handler = cpu._handlers[instruction.opcode]
-
-        def op(cpu=cpu, regs=regs, handler=handler, instruction=instruction,
-               next_pc=next_pc):
-            if cpu._writes:
-                cpu._writes = []
-            if cpu._reads:
-                cpu._reads = []
-            regs[PC] = next_pc
-            handler(instruction)
-
-        return op
-
-    # .......................................................... operand plans
-
-    def _src_plan(self, operand, byte_mode):
-        """Compile a source operand to ``(constant, loader)``.
-
-        Exactly one of the pair is non-``None``; ``None`` (the whole
-        plan) means the operand stays on the generic path.  Loaders
-        replicate the reference's read order exactly: the effective
-        address uses the current register value, memory reads go through
-        the :class:`~repro.memory.memory.Memory` accessors (watchers
-        fire) and autoincrement bumps the register after the read,
-        bypassing SP/PC alignment masking exactly like
-        ``CPU._read_operand``.
-        """
-        mask = 0xFF if byte_mode else 0xFFFF
-        mode = operand.mode
-        if mode is _CONSTANT or mode is _IMMEDIATE:
-            return operand.value & mask, None
-        regs = self.cpu.registers
-        if mode is _REGISTER:
-            register = operand.register
-            if register == CG:
-                return 0, None
-            if register == PC:
-                # Specialized ops run with a stale per-block PC.
-                return None
-            def load(regs=regs, register=register, mask=mask):
-                return regs[register] & mask
-            return None, load
-        memory = self.device.memory
-        read = memory.read_byte if byte_mode else memory.read_word
-        if mode is _ABSOLUTE or mode is _SYMBOLIC:
-            address = operand.value & 0xFFFF
-            def load(read=read, address=address):
-                return read(address)
-            return None, load
-        register = operand.register
-        if register == PC:
-            return None
-        if mode is _INDEXED:
-            offset = operand.value
-            def load(read=read, regs=regs, register=register, offset=offset):
-                return read((regs[register] + offset) & 0xFFFF)
-            return None, load
-        if mode is _INDIRECT:
-            def load(read=read, regs=regs, register=register):
-                return read(regs[register])
-            return None, load
-        if mode is _AUTOINCREMENT:
-            increment = 1 if byte_mode else 2
-            def load(read=read, regs=regs, register=register,
-                     increment=increment):
-                value = read(regs[register])
-                regs[register] = (regs[register] + increment) & 0xFFFF
-                return value
-            return None, load
-        return None
-
-    def _dst_plan(self, operand):
-        """Compile a memory destination to ``(address, address_fn)``.
-
-        Exactly one of the pair is non-``None``; ``None`` (the whole
-        plan) refuses the operand.  Format I destinations can only be
-        register/symbolic/absolute/indexed; the register case is handled
-        separately and an indexed base of PC stays generic.
-        """
-        mode = operand.mode
-        if mode is _ABSOLUTE or mode is _SYMBOLIC:
-            return operand.value & 0xFFFF, None
-        if mode is _INDEXED and operand.register != PC:
-            regs = self.cpu.registers
-            register = operand.register
-            offset = operand.value
-            def address_fn(regs=regs, register=register, offset=offset):
-                return (regs[register] + offset) & 0xFFFF
-            return None, address_fn
-        return None
-
-    def _rmw_plan(self, operand, byte_mode):
-        """Compile a Format II read-modify-write memory operand.
-
-        Returns ``(address, address_fn, auto_register, increment)`` or
-        ``None``.  The reference computes the effective address once,
-        reads, bumps the autoincrement register, then writes back to the
-        *original* address; the plan preserves that order.
-        """
-        mode = operand.mode
-        if mode is _ABSOLUTE or mode is _SYMBOLIC:
-            return operand.value & 0xFFFF, None, None, 0
-        register = operand.register
-        if register == PC:
-            return None
-        regs = self.cpu.registers
-        if mode is _INDEXED:
-            offset = operand.value
-            def address_fn(regs=regs, register=register, offset=offset):
-                return (regs[register] + offset) & 0xFFFF
-            return None, address_fn, None, 0
-        if mode is _INDIRECT or mode is _AUTOINCREMENT:
-            def address_fn(regs=regs, register=register):
-                return regs[register]
-            if mode is _AUTOINCREMENT:
-                return None, address_fn, register, (1 if byte_mode else 2)
-            return None, address_fn, None, 0
-        return None
-
-    # .......................................................... specialization
-
-    def _specialized_op(self, instruction, pc, next_pc):
-        """A flat closure for *instruction*, or ``None`` (use generic).
-
-        Specialized closures deliberately do not advance ``regs[PC]``
-        per instruction -- the block driver restores PC at block exit --
-        *except* for ops that can write memory, which set PC to their
-        successor first so a mid-block abort (self-modifying store,
-        peripheral wake-up) lands on the same state the reference
-        produces.  Generic ops and jumps always set PC themselves.
-        """
-        fmt = instruction.opcode.format
-        if fmt is InstructionFormat.JUMP:
-            return self._jump_op(instruction, pc)
-        if fmt is InstructionFormat.DOUBLE_OPERAND:
-            return self._double_op(instruction, next_pc)
-        if fmt is InstructionFormat.SINGLE_OPERAND:
-            return self._single_op(instruction, next_pc)
-        return None
-
-    def _jump_op(self, instruction, pc):
-        regs = self.cpu.registers
-        # The reference takes the branch after PC has advanced past the
-        # (always 2-byte) jump; both targets are even, so the PC
-        # setter's & 0xFFFE is a no-op here.
-        fall = (pc + 2) & 0xFFFF
-        taken = (fall + instruction.jump_offset) & 0xFFFF
-        opcode = instruction.opcode
-        if opcode is Opcode.JMP:
-            def op(regs=regs, taken=taken):
-                regs[PC] = taken
-        elif opcode is Opcode.JNE:
-            def op(regs=regs, taken=taken, fall=fall):
-                regs[PC] = fall if regs[SR] & _Z else taken
-        elif opcode is Opcode.JEQ:
-            def op(regs=regs, taken=taken, fall=fall):
-                regs[PC] = taken if regs[SR] & _Z else fall
-        elif opcode is Opcode.JNC:
-            def op(regs=regs, taken=taken, fall=fall):
-                regs[PC] = fall if regs[SR] & _C else taken
-        elif opcode is Opcode.JC:
-            def op(regs=regs, taken=taken, fall=fall):
-                regs[PC] = taken if regs[SR] & _C else fall
-        elif opcode is Opcode.JN:
-            def op(regs=regs, taken=taken, fall=fall):
-                regs[PC] = taken if regs[SR] & _N else fall
-        elif opcode is Opcode.JGE:
-            def op(regs=regs, taken=taken, fall=fall):
-                sr = regs[SR]
-                regs[PC] = taken if bool(sr & _N) == bool(sr & _V) else fall
-        elif opcode is Opcode.JL:
-            def op(regs=regs, taken=taken, fall=fall):
-                sr = regs[SR]
-                regs[PC] = taken if bool(sr & _N) != bool(sr & _V) else fall
-        else:  # pragma: no cover - the Opcode enum has exactly 8 jumps
-            return None
-        return op
-
-    # .......................................................... format I
-
-    def _double_op(self, instruction, next_pc):
-        opcode = instruction.opcode
-        dst = instruction.dst
-        byte_mode = instruction.byte_mode
-        plan = self._src_plan(instruction.src, byte_mode)
-        if plan is None:
-            return None
-        const, sload = plan
-        if dst.mode is _REGISTER:
-            return self._double_reg_dst(opcode, byte_mode, const, sload,
-                                        dst.register)
-        dplan = self._dst_plan(dst)
-        if dplan is None:
-            return None
-        aconst, afn = dplan
-        return self._double_mem_dst(opcode, byte_mode, const, sload,
-                                    aconst, afn, next_pc)
-
-    def _double_reg_dst(self, opcode, byte_mode, const, sload, rd):
-        """Format I with a register destination.
-
-        The register/constant source shapes compile to fully flat
-        closures (the v1 fast path, kept branch-free); memory sources
-        use the loader with a single compile-time-constant branch.
-        """
-        mask = 0xFF if byte_mode else 0xFFFF
-        msb = 0x80 if byte_mode else 0x8000
-        regs = self.cpu.registers
-
-        # Plain register sources keep the direct regs[rs] read (no
-        # loader call) -- this is the hottest shape in real firmware.
-        rs = None
-        if sload is not None and getattr(sload, "__defaults__", None):
-            pass  # loaders stay loaders; rs stays None
-        if opcode is Opcode.MOV:
-            if rd == CG:
-                if sload is None:
-                    # MOV #n, CG is the canonical NOP: no write, no flags.
-                    return _nop_op
-                # The load may have side effects (autoincrement bump,
-                # watcher notification); run it and drop the value.
-                def op(sload=sload):
-                    sload()
-                return op
-            if rd == PC or rd == SR:
-                return None  # block terminators; generic handles them
-            if rd == SP:
-                if const is not None:
-                    value = const & 0xFFFE
-
-                    def op(regs=regs, value=value):
-                        regs[SP] = value
-                else:
-                    def op(regs=regs, sload=sload):
-                        regs[SP] = sload() & 0xFFFE
-            elif const is not None:
-                def op(regs=regs, rd=rd, const=const):
-                    regs[rd] = const
-            else:
-                def op(regs=regs, rd=rd, sload=sload):
-                    regs[rd] = sload()
-            return op
-
-        # The remaining ALU ops read the destination; restrict to the
-        # general registers so CG's read-as-zero and PC/SP/SR write
-        # masking stay the reference's problem.
-        if rd < 4:
-            return None
-        if opcode is Opcode.ADD or opcode is Opcode.ADDC:
-            with_carry = opcode is Opcode.ADDC
-            if const is not None:
-                def op(regs=regs, rd=rd, b=const, mask=mask, msb=msb,
-                       with_carry=with_carry):
-                    a = regs[rd] & mask
-                    total = a + b + (1 if (with_carry and regs[SR] & _C) else 0)
-                    result = total & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if total > mask:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    if ~(a ^ b) & (a ^ result) & msb:
-                        sr |= _V
-                    regs[SR] = sr
-                    regs[rd] = result
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask, msb=msb,
-                       with_carry=with_carry):
-                    b = sload()
-                    a = regs[rd] & mask
-                    total = a + b + (1 if (with_carry and regs[SR] & _C) else 0)
-                    result = total & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if total > mask:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    if ~(a ^ b) & (a ^ result) & msb:
-                        sr |= _V
-                    regs[SR] = sr
-                    regs[rd] = result
-            return op
-
-        if opcode in (Opcode.SUB, Opcode.SUBC, Opcode.CMP):
-            borrow_carry = opcode is Opcode.SUBC
-            write_back = opcode is not Opcode.CMP
-            if const is not None:
-                nconst = (~const) & mask
-
-                def op(regs=regs, rd=rd, b=nconst, mask=mask, msb=msb,
-                       borrow_carry=borrow_carry, write_back=write_back):
-                    a = regs[rd] & mask
-                    if borrow_carry:
-                        carry_in = 1 if regs[SR] & _C else 0
-                    else:
-                        carry_in = 1
-                    total = a + b + carry_in
-                    result = total & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if total > mask:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    if ~(a ^ b) & (a ^ result) & msb:
-                        sr |= _V
-                    regs[SR] = sr
-                    if write_back:
-                        regs[rd] = result
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask, msb=msb,
-                       borrow_carry=borrow_carry, write_back=write_back):
-                    b = (~sload()) & mask
-                    a = regs[rd] & mask
-                    if borrow_carry:
-                        carry_in = 1 if regs[SR] & _C else 0
-                    else:
-                        carry_in = 1
-                    total = a + b + carry_in
-                    result = total & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if total > mask:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    if ~(a ^ b) & (a ^ result) & msb:
-                        sr |= _V
-                    regs[SR] = sr
-                    if write_back:
-                        regs[rd] = result
-            return op
-
-        if opcode is Opcode.BIT or opcode is Opcode.AND:
-            write_back = opcode is Opcode.AND
-            if const is not None:
-                def op(regs=regs, rd=rd, b=const, mask=mask, msb=msb,
-                       write_back=write_back):
-                    result = regs[rd] & b & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if result & mask:
-                        sr |= _C
-                    else:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    regs[SR] = sr
-                    if write_back:
-                        regs[rd] = result
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask, msb=msb,
-                       write_back=write_back):
-                    result = regs[rd] & sload() & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if result & mask:
-                        sr |= _C
-                    else:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    regs[SR] = sr
-                    if write_back:
-                        regs[rd] = result
-            return op
-
-        if opcode is Opcode.BIC:
-            if const is not None:
-                keep = (~const) & mask
-
-                def op(regs=regs, rd=rd, keep=keep):
-                    regs[rd] = regs[rd] & keep
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask):
-                    regs[rd] = (regs[rd] & ~sload()) & mask
-            return op
-
-        if opcode is Opcode.BIS:
-            if const is not None:
-                def op(regs=regs, rd=rd, b=const, mask=mask):
-                    regs[rd] = (regs[rd] & mask) | b
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask):
-                    regs[rd] = (regs[rd] | sload()) & mask
-            return op
-
-        if opcode is Opcode.XOR:
-            if const is not None:
-                def op(regs=regs, rd=rd, b=const, mask=mask, msb=msb):
-                    a = regs[rd] & mask
-                    result = (a ^ b) & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if result == 0:
-                        sr |= _Z
-                    else:
-                        sr |= _C
-                    if result & msb:
-                        sr |= _N
-                    if (a & msb) and (b & msb):
-                        sr |= _V
-                    regs[SR] = sr
-                    regs[rd] = result
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask, msb=msb):
-                    b = sload()
-                    a = regs[rd] & mask
-                    result = (a ^ b) & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if result == 0:
-                        sr |= _Z
-                    else:
-                        sr |= _C
-                    if result & msb:
-                        sr |= _N
-                    if (a & msb) and (b & msb):
-                        sr |= _V
-                    regs[SR] = sr
-                    regs[rd] = result
-            return op
-
-        if opcode is Opcode.DADD:
-            decimal = self.cpu._decimal_add_and_set_flags
-            if const is not None:
-                def op(regs=regs, rd=rd, b=const, mask=mask, decimal=decimal,
-                       byte_mode=byte_mode):
-                    regs[rd] = decimal(regs[rd] & mask, b, byte_mode)
-            else:
-                def op(regs=regs, rd=rd, sload=sload, mask=mask,
-                       decimal=decimal, byte_mode=byte_mode):
-                    b = sload()
-                    regs[rd] = decimal(regs[rd] & mask, b, byte_mode)
-            return op
-
-        return None
-
-    def _double_mem_dst(self, opcode, byte_mode, const, sload, aconst, afn,
-                        next_pc):
-        """Format I with a memory destination.
-
-        These ops can store, so they set PC to their successor *first*
-        (mirroring the reference's advance-before-handler order); the
-        write goes through the :class:`~repro.memory.memory.Memory`
-        accessors so write listeners (block/decode-cache invalidation,
-        peripheral wake-up) fire exactly as in the reference.  Source
-        evaluation precedes the destination address computation, which
-        matters when an autoincrement source aliases the indexed base.
-        """
-        mask = 0xFF if byte_mode else 0xFFFF
-        msb = 0x80 if byte_mode else 0x8000
-        regs = self.cpu.registers
-        memory = self.device.memory
-        if byte_mode:
-            read, write = memory.read_byte, memory.write_byte
-        else:
-            read, write = memory.read_word, memory.write_word
-
-        if opcode is Opcode.MOV:
-            def op(regs=regs, write=write, const=const, sload=sload,
-                   aconst=aconst, afn=afn, next_pc=next_pc):
-                regs[PC] = next_pc
-                value = const if sload is None else sload()
-                write(aconst if afn is None else afn(), value)
-            return op
-
-        if opcode is Opcode.ADD or opcode is Opcode.ADDC:
-            with_carry = opcode is Opcode.ADDC
-
-            def op(regs=regs, read=read, write=write, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   mask=mask, msb=msb, with_carry=with_carry):
-                regs[PC] = next_pc
-                b = const if sload is None else sload()
-                address = aconst if afn is None else afn()
-                a = read(address)
-                total = a + b + (1 if (with_carry and regs[SR] & _C) else 0)
-                result = total & mask
-                sr = regs[SR] & _KEEP_NON_ARITH
-                if total > mask:
-                    sr |= _C
-                if result == 0:
-                    sr |= _Z
-                if result & msb:
-                    sr |= _N
-                if ~(a ^ b) & (a ^ result) & msb:
-                    sr |= _V
-                regs[SR] = sr
-                write(address, result)
-            return op
-
-        if opcode in (Opcode.SUB, Opcode.SUBC, Opcode.CMP):
-            borrow_carry = opcode is Opcode.SUBC
-            if opcode is Opcode.CMP:
-                # Flags only -- no store, so no early PC either (the
-                # abort checks can never newly fire after a pure read).
-                def op(regs=regs, read=read, const=const, sload=sload,
-                       aconst=aconst, afn=afn, mask=mask, msb=msb):
-                    b = (~(const if sload is None else sload())) & mask
-                    a = read(aconst if afn is None else afn())
-                    total = a + b + 1
-                    result = total & mask
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if total > mask:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    if ~(a ^ b) & (a ^ result) & msb:
-                        sr |= _V
-                    regs[SR] = sr
-                return op
-
-            def op(regs=regs, read=read, write=write, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   mask=mask, msb=msb, borrow_carry=borrow_carry):
-                regs[PC] = next_pc
-                b = (~(const if sload is None else sload())) & mask
-                address = aconst if afn is None else afn()
-                a = read(address)
-                if borrow_carry:
-                    carry_in = 1 if regs[SR] & _C else 0
-                else:
-                    carry_in = 1
-                total = a + b + carry_in
-                result = total & mask
-                sr = regs[SR] & _KEEP_NON_ARITH
-                if total > mask:
-                    sr |= _C
-                if result == 0:
-                    sr |= _Z
-                if result & msb:
-                    sr |= _N
-                if ~(a ^ b) & (a ^ result) & msb:
-                    sr |= _V
-                regs[SR] = sr
-                write(address, result)
-            return op
-
-        if opcode is Opcode.BIT:
-            def op(regs=regs, read=read, const=const, sload=sload,
-                   aconst=aconst, afn=afn, mask=mask, msb=msb):
-                b = const if sload is None else sload()
-                result = read(aconst if afn is None else afn()) & b & mask
-                sr = regs[SR] & _KEEP_NON_ARITH
-                if result & mask:
-                    sr |= _C
-                else:
-                    sr |= _Z
-                if result & msb:
-                    sr |= _N
-                regs[SR] = sr
-            return op
-
-        if opcode is Opcode.AND:
-            def op(regs=regs, read=read, write=write, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   mask=mask, msb=msb):
-                regs[PC] = next_pc
-                b = const if sload is None else sload()
-                address = aconst if afn is None else afn()
-                result = read(address) & b & mask
-                sr = regs[SR] & _KEEP_NON_ARITH
-                if result & mask:
-                    sr |= _C
-                else:
-                    sr |= _Z
-                if result & msb:
-                    sr |= _N
-                regs[SR] = sr
-                write(address, result)
-            return op
-
-        if opcode is Opcode.BIC:
-            def op(regs=regs, write=write, read=read, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   mask=mask):
-                regs[PC] = next_pc
-                b = const if sload is None else sload()
-                address = aconst if afn is None else afn()
-                write(address, read(address) & ~b & mask)
-            return op
-
-        if opcode is Opcode.BIS:
-            def op(regs=regs, write=write, read=read, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   mask=mask):
-                regs[PC] = next_pc
-                b = const if sload is None else sload()
-                address = aconst if afn is None else afn()
-                write(address, (read(address) | b) & mask)
-            return op
-
-        if opcode is Opcode.XOR:
-            def op(regs=regs, read=read, write=write, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   mask=mask, msb=msb):
-                regs[PC] = next_pc
-                b = const if sload is None else sload()
-                address = aconst if afn is None else afn()
-                a = read(address)
-                result = (a ^ b) & mask
-                sr = regs[SR] & _KEEP_NON_ARITH
-                if result == 0:
-                    sr |= _Z
-                else:
-                    sr |= _C
-                if result & msb:
-                    sr |= _N
-                if (a & msb) and (b & msb):
-                    sr |= _V
-                regs[SR] = sr
-                write(address, result)
-            return op
-
-        if opcode is Opcode.DADD:
-            decimal = self.cpu._decimal_add_and_set_flags
-
-            def op(regs=regs, read=read, write=write, const=const,
-                   sload=sload, aconst=aconst, afn=afn, next_pc=next_pc,
-                   decimal=decimal, byte_mode=byte_mode):
-                regs[PC] = next_pc
-                b = const if sload is None else sload()
-                address = aconst if afn is None else afn()
-                write(address, decimal(read(address), b, byte_mode))
-            return op
-
-        return None
-
-    # .......................................................... format II
-
-    def _single_op(self, instruction, next_pc):
-        opcode = instruction.opcode
-        byte_mode = instruction.byte_mode
-        src = instruction.src
-        regs = self.cpu.registers
-        memory = self.device.memory
-        mask = 0xFF if byte_mode else 0xFFFF
-        msb = 0x80 if byte_mode else 0x8000
-
-        if opcode is Opcode.PUSH:
-            plan = self._src_plan(src, byte_mode)
-            if plan is None:
-                return None
-            const, sload = plan
-            write_word = memory.write_word
-
-            def op(regs=regs, write_word=write_word, const=const, sload=sload,
-                   next_pc=next_pc):
-                regs[PC] = next_pc
-                # Source evaluation (including an autoincrement bump --
-                # even of SP itself) precedes the SP decrement, exactly
-                # like the reference's read-then-push order.  A byte
-                # push stores the byte-masked value as a word.
-                value = const if sload is None else sload()
-                sp = (regs[SP] - 2) & 0xFFFE
-                regs[SP] = sp
-                write_word(sp, value)
-            return op
-
-        if opcode not in _WRITEBACK_SINGLE:
-            return None  # CALL/RETI stay generic block terminators.
-
-        if src.mode is _REGISTER:
-            rs = src.register
-            if rs < 4:
-                # PC/SR are block terminators; SP's write-alignment and
-                # CG's read-as-zero/dropped-write stay generic.
-                return None
-            if opcode is Opcode.RRA:
-                def op(regs=regs, rs=rs, mask=mask, msb=msb):
-                    value = regs[rs] & mask
-                    result = (value >> 1) | (value & msb)
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if value & 1:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    regs[SR] = sr
-                    regs[rs] = result
-            elif opcode is Opcode.RRC:
-                def op(regs=regs, rs=rs, mask=mask, msb=msb):
-                    value = regs[rs] & mask
-                    sr = regs[SR]
-                    result = (value >> 1) | (msb if sr & _C else 0)
-                    sr &= _KEEP_NON_ARITH
-                    if value & 1:
-                        sr |= _C
-                    if result == 0:
-                        sr |= _Z
-                    if result & msb:
-                        sr |= _N
-                    regs[SR] = sr
-                    regs[rs] = result
-            elif opcode is Opcode.SWPB:
-                # The reference writes the swapped value back in word
-                # mode even after a byte-mode read.
-                def op(regs=regs, rs=rs, mask=mask):
-                    value = regs[rs] & mask
-                    regs[rs] = ((value & 0xFF) << 8) | ((value >> 8) & 0xFF)
-            else:  # SXT
-                def op(regs=regs, rs=rs, mask=mask):
-                    result = regs[rs] & mask & 0xFF
-                    if result & 0x80:
-                        result |= 0xFF00
-                    sr = regs[SR] & _KEEP_NON_ARITH
-                    if result:
-                        sr |= _C
-                    else:
-                        sr |= _Z
-                    if result & 0x8000:
-                        sr |= _N
-                    regs[SR] = sr
-                    regs[rs] = result
-            return op
-
-        plan = self._rmw_plan(src, byte_mode)
-        if plan is None:
-            return None
-        aconst, afn, auto_register, increment = plan
-        read = memory.read_byte if byte_mode else memory.read_word
-        write = memory.write_byte if byte_mode else memory.write_word
-        write_word = memory.write_word
-
-        if opcode is Opcode.RRA:
-            def op(regs=regs, read=read, write=write, aconst=aconst, afn=afn,
-                   auto_register=auto_register, increment=increment,
-                   next_pc=next_pc, msb=msb):
-                regs[PC] = next_pc
-                address = aconst if afn is None else afn()
-                value = read(address)
-                if auto_register is not None:
-                    regs[auto_register] = (regs[auto_register] + increment) \
-                        & 0xFFFF
-                result = (value >> 1) | (value & msb)
-                sr = regs[SR] & _KEEP_NON_ARITH
-                if value & 1:
-                    sr |= _C
-                if result == 0:
-                    sr |= _Z
-                if result & msb:
-                    sr |= _N
-                regs[SR] = sr
-                write(address, result)
-            return op
-
-        if opcode is Opcode.RRC:
-            def op(regs=regs, read=read, write=write, aconst=aconst, afn=afn,
-                   auto_register=auto_register, increment=increment,
-                   next_pc=next_pc, msb=msb):
-                regs[PC] = next_pc
-                address = aconst if afn is None else afn()
-                value = read(address)
-                if auto_register is not None:
-                    regs[auto_register] = (regs[auto_register] + increment) \
-                        & 0xFFFF
-                sr = regs[SR]
-                result = (value >> 1) | (msb if sr & _C else 0)
-                sr &= _KEEP_NON_ARITH
-                if value & 1:
-                    sr |= _C
-                if result == 0:
-                    sr |= _Z
-                if result & msb:
-                    sr |= _N
-                regs[SR] = sr
-                write(address, result)
-            return op
-
-        if opcode is Opcode.SWPB:
-            # Word-mode writeback regardless of the read width (the
-            # word store masks an odd byte-mode address even).
-            def op(regs=regs, read=read, write_word=write_word, aconst=aconst,
-                   afn=afn, auto_register=auto_register, increment=increment,
-                   next_pc=next_pc):
-                regs[PC] = next_pc
-                address = aconst if afn is None else afn()
-                value = read(address)
-                if auto_register is not None:
-                    regs[auto_register] = (regs[auto_register] + increment) \
-                        & 0xFFFF
-                write_word(address, ((value & 0xFF) << 8) | ((value >> 8) & 0xFF))
-            return op
-
-        # SXT: byte-sourced sign extension, word-mode writeback.
-        def op(regs=regs, read=read, write_word=write_word, aconst=aconst,
-               afn=afn, auto_register=auto_register, increment=increment,
-               next_pc=next_pc):
-            regs[PC] = next_pc
-            address = aconst if afn is None else afn()
-            value = read(address)
-            if auto_register is not None:
-                regs[auto_register] = (regs[auto_register] + increment) \
-                    & 0xFFFF
-            result = value & 0xFF
-            if result & 0x80:
-                result |= 0xFF00
-            sr = regs[SR] & _KEEP_NON_ARITH
-            if result:
-                sr |= _C
-            else:
-                sr |= _Z
-            if result & 0x8000:
-                sr |= _N
-            regs[SR] = sr
-            write_word(address, result)
-        return op
-
-    # ------------------------------------------------------------ execution
-
-    def silent_chunk(self, chunk):
-        """Block-compiled variant of the observer-free chunk loop.
-
-        State effects (registers, memory, cycle/step/step_number
-        accounting, crash latching) are pinned identical to the
-        reference by the engine-differential suites.  After a full
-        block run the engine chains straight into the next compiled
-        block (statically through an unconditional exit, dynamically
-        through the post-run PC) instead of returning to the driver,
-        up to :data:`MAX_CHAIN_HOPS` hops; invalidation, a peripheral
-        wake-up, a ``CPUOFF`` write or an exhausted step budget all
-        sever the chain.
-        """
-        device = self.device
-        cpu = self.cpu
-        regs = cpu.registers
-        get_block = self._blocks.get
-        step_silent = cpu.step_silent
-        chain_enabled = self._superblocks
-        executed = 0
-        chunk_cycles = 0
-        # Blocks bypass CPU.step_silent, so their cycle/step counts are
-        # accumulated locally and flushed once per chunk (and before any
-        # crash bundle, which reads cpu.step_count).
-        pending_steps = 0
-        pending_cycles = 0
-        last_cycles = device._last_step_cycles
-        try:
-            while executed < chunk and not device._periph_dirty:
-                if regs[SR] & _CPUOFF:
-                    last_cycles = step_silent()
-                    chunk_cycles += last_cycles
-                    executed += 1
-                    continue
-                pc = regs[PC]
-                block = get_block(pc)
-                if block is None:
-                    block = self._compile(pc)
-                if block is None or block.count > chunk - executed:
-                    last_cycles = step_silent()
-                    chunk_cycles += last_cycles
-                    executed += 1
-                    continue
-                hops = MAX_CHAIN_HOPS
-                while True:
-                    ops = block.ops
-                    n = block.count
-                    if block.mutates:
-                        ran = 0
-                        try:
-                            for op in ops:
-                                op()
-                                ran += 1
-                                # A store can rewrite this very block or
-                                # wake the peripherals; react at the same
-                                # instruction boundary the reference would.
-                                if not block.valid or device._periph_dirty:
-                                    break
-                        except CPUError:
-                            # A mutating op can fault at execution time
-                            # (for example writeback to an addressless
-                            # operand).  Account for the ops that DID
-                            # complete, exactly as the reference loop
-                            # would have counted them, then let the
-                            # outer handler latch the crash.
-                            op_cycles = block.op_cycles
-                            cycles = sum(op_cycles[:ran])
-                            executed += ran
-                            chunk_cycles += cycles
-                            pending_steps += ran
-                            pending_cycles += cycles
-                            if ran:
-                                last_cycles = op_cycles[ran - 1]
-                            raise
-                        self.block_runs += 1
-                        if ran == n:
-                            cycles = block.cycles_total
-                            last_cycles = block.last_cycles
-                        else:
-                            op_cycles = block.op_cycles
-                            cycles = sum(op_cycles[:ran])
-                            last_cycles = op_cycles[ran - 1]
-                        executed += ran
-                        chunk_cycles += cycles
-                        pending_steps += ran
-                        pending_cycles += cycles
-                        if ran != n:
-                            break  # aborted mid-block: PC is already right
-                        if not block.sets_pc:
-                            regs[PC] = block.exit_pc
-                        if not block.valid or device._periph_dirty:
-                            break
-                    else:
-                        for op in ops:
-                            op()
-                        run_cycles = block.cycles_total
-                        executed += n
-                        chunk_cycles += run_cycles
-                        pending_steps += n
-                        pending_cycles += run_cycles
-                        self.block_runs += 1
-                        if not block.sets_pc:
-                            regs[PC] = block.exit_pc
-                        last_cycles = block.last_cycles
-                    # ---- chain block-to-block without a driver round-trip
-                    if not chain_enabled or regs[SR] & _CPUOFF:
-                        break
-                    hops -= 1
-                    if hops <= 0:
-                        break
-                    target = block.static_exit
-                    if target is None:
-                        nxt = get_block(regs[PC])
-                    else:
-                        nxt = block.chain
-                        if nxt is None or not nxt.valid \
-                                or nxt.start != target:
-                            nxt = get_block(target)
-                            block.chain = nxt
-                    if nxt is None or not nxt.valid \
-                            or nxt.count > chunk - executed:
-                        break
-                    block = nxt
-                    self.chained_exits += 1
-        except CPUError as error:
-            # Raised by the step_silent fallback or by a faulting op in
-            # a mutating block (which has already accounted its
-            # completed ops above).  Either way the crashing step itself
-            # counts toward step_number but not step_count/cycle_count,
-            # mirroring the reference loop.
-            cpu.cycle_count += pending_cycles
-            cpu.step_count += pending_steps
-            device.step_number += executed + 1
-            device._latch_crash(error)
-            device._last_step_cycles = last_cycles
-            device.trace.count_cycles(chunk_cycles)
-            device._crash_bundle()
-            return executed + 1
-        cpu.cycle_count += pending_cycles
-        cpu.step_count += pending_steps
-        device.step_number += executed
-        device._last_step_cycles = last_cycles
-        device.trace.count_cycles(chunk_cycles)
-        return executed
-
-
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
-
-#: The engine registry: name -> ExecutionEngine subclass.
-ENGINES = {
-    "interp": InterpreterEngine,
-    "blocks": BlockEngine,
-}
-
-#: Explicit process-wide selection (set_engine/use_engine); ``None``
-#: defers to the environment variable / default.
-_active = None
-
-
-def register_engine(name, engine_factory):
-    """Register *engine_factory* (an :class:`ExecutionEngine` subclass)."""
-    ENGINES[name] = engine_factory
-    return engine_factory
-
-
 def engine_name():
-    """The name of the engine new devices will use."""
-    if _active is not None:
-        return _active
-    return os.environ.get(ENV_VAR, DEFAULT_ENGINE) or DEFAULT_ENGINE
-
-
-def engine_class(engine=None):
-    """Resolve *engine* (default: the active one) to an engine class.
-
-    :raises ValueError: for names missing from the registry (including
-        a typoed ``REPRO_EXEC_BACKEND``), so a misconfiguration fails
-        loudly at device construction instead of silently running slow.
-    """
-    name = engine if engine is not None else engine_name()
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            "unknown execution engine %r (registered: %s)"
-            % (name, ", ".join(sorted(ENGINES)))
-        ) from None
-
-
-def set_engine(name):
-    """Select the process-wide engine (``None`` defers to the environment)."""
-    global _active
-    if name is not None:
-        engine_class(name)  # validate eagerly
-    _active = name
-
-
-@contextmanager
-def use_engine(name):
-    """Context manager scoping an engine selection (tests, benchmarks)."""
-    global _active
-    previous = _active
-    set_engine(name)
-    try:
-        yield engine_class(name)
-    finally:
-        _active = previous
-
-
-def create_engine(device, engine=None):
-    """Instantiate the selected engine for *device* (without attaching)."""
-    return engine_class(engine)(device)
+    """The name of the engine every device runs (recorded by benchmarks)."""
+    return InterpreterEngine.name
 
 
 @register_global_collector
 def _collect_engine_metrics(registry):
-    """Publish per-engine :meth:`ExecutionEngine.stats` sums as gauges.
+    """Publish the live engine count as ``engine.interp.instances``.
 
-    Snapshot-on-read: summed over the live engines at snapshot time
-    under ``engine.<name>.<counter>`` (``engine.blocks.chained_exits``,
-    ``engine.blocks.compiled``, ...), plus ``engine.<name>.instances``.
-    The compiled-closure loop itself never touches the registry -- the
-    ``compare_bench.py --profile sim`` gate pins that.
+    Snapshot-on-read: counted over the live engines at snapshot time, so
+    the step loop itself never touches the registry.
     """
-    totals = {}
-    instances = {}
-    for engine in list(ExecutionEngine._live):
-        name = engine.name
-        instances[name] = instances.get(name, 0) + 1
-        sums = totals.setdefault(name, {})
-        for key, value in engine.stats().items():
-            if isinstance(value, bool):
-                value = int(value)
-            if isinstance(value, (int, float)):
-                sums[key] = sums.get(key, 0) + value
-    for name, sums in totals.items():
-        registry.gauge("engine.%s.instances" % name).set(instances[name])
-        for key, value in sums.items():
-            registry.gauge("engine.%s.%s" % (name, key)).set(value)
+    instances = len(InterpreterEngine._live)
+    if instances:
+        registry.gauge("engine.%s.instances" % InterpreterEngine.name).set(
+            instances)

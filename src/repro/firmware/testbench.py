@@ -82,13 +82,9 @@ class TestbenchConfig:
     enable_uart_rx_interrupts: bool = False
     trace_enabled: bool = True
     #: Forwarded to :class:`~repro.device.mcu.DeviceConfig`: the decoded-
-    #: instruction cache (on by default), the optional trace bound and
-    #: the execution-engine selection (``None`` defers to
-    #: ``REPRO_EXEC_BACKEND`` / the registry default).
+    #: instruction cache (on by default) and the optional trace bound.
     decode_cache_enabled: bool = True
     trace_limit: Optional[int] = None
-    exec_engine: Optional[str] = None
-    blocks_superblocks: Optional[bool] = None
     #: Reuse linked firmware images across testbenches built from the
     #: same source/ISRs/ER base (per-process cache; the image is
     #: read-only after linking).  Disable to force a fresh link.
@@ -119,8 +115,6 @@ class PoxTestbench:
             trace_enabled=self.config.trace_enabled,
             decode_cache_enabled=self.config.decode_cache_enabled,
             trace_limit=self.config.trace_limit,
-            exec_engine=self.config.exec_engine,
-            blocks_superblocks=self.config.blocks_superblocks,
         ))
         self.linker = ErLinker(layout=self.device.layout, er_base=self.config.er_base)
         self.firmware = self._linked_firmware(firmware)

@@ -3,12 +3,12 @@
 One :class:`MetricsRegistry` holds every instrument the process reports
 through -- :class:`Counter` (monotonic), :class:`Gauge` (point-in-time)
 and :class:`Histogram` (fixed buckets plus a bounded sample window for
-p50/p95/p99) -- under consistent dotted names (``engine.blocks.compiled``,
+p50/p95/p99) -- under consistent dotted names (``engine.interp.instances``,
 ``store.hits``, ``cluster.shard-0.shed``).  Instruments are created
 get-or-create by name+labels, are thread-safe, and cost one lock-guarded
 integer add when touched, so they are cheap enough for per-scenario and
 per-exchange paths.  They are deliberately **not** cheap enough for the
-per-step simulation hot path: the execution engines and the decode cache
+per-step simulation hot path: the execution engine and the decode cache
 keep their plain attribute counters and publish through *collectors* --
 callables the registry runs at :meth:`~MetricsRegistry.snapshot` time --
 so reading telemetry costs nothing until someone asks for it
@@ -223,7 +223,7 @@ def register_global_collector(collector: Callable) -> Callable:
 
     Idempotent per callable object; returns it, so it stacks as a
     decorator.  This is the snapshot-on-read hook: the execution
-    engines, the decode cache and the verifier service publish through
+    engine, the decode cache and the verifier service publish through
     collectors so their per-step/per-message paths never touch a lock
     they don't already hold.
     """

@@ -14,7 +14,7 @@ duration, attributes, and a parent link -- grouped under a trace id.
 * ``tracer.add(name, duration, parent=...)`` for synthetic spans built
   after the fact from a measured duration (per-scenario dispatch spans
   are stamped from ``result.elapsed_seconds``, uniformly across the
-  serial/thread/process/remote backends).
+  serial/process/remote backends).
 
 Spans cross process boundaries as plain lists of JSON/pickle-safe
 scalars (:meth:`Span.to_wire` / :meth:`Span.from_wire` -- no custom

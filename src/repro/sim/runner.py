@@ -13,11 +13,6 @@ a module-level callable, the same code path runs unchanged inside a
 backend:
 
 * ``"serial"`` -- run in-process, one after another;
-* ``"thread"`` -- fan out over a thread pool.  Correct because the
-  workers are share-nothing (every scenario builds its own device,
-  monitor and protocol; the few module-level caches are idempotent
-  under the GIL), though CPU-bound sweeps only scale on runtimes
-  without a GIL -- the backend exists so they can;
 * ``"process"`` -- fan out over a process pool (``--jobs`` workers),
   with results returned in **spec order** regardless of completion
   order, so serial and parallel campaigns are row-for-row identical.
@@ -53,14 +48,12 @@ Two orthogonal levers make campaigns *incremental*:
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import multiprocessing
 import os
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing.pool import ThreadPool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro._lru import LruDict
@@ -75,7 +68,7 @@ from repro.sim.scenario import (
 )
 
 #: Backends a :class:`CampaignRunner` accepts.
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 
 #: Default observations for ``kind="pox"`` scenarios that do not name
 #: any: verdict-shaped for modes that end in an attestation, run-shaped
@@ -418,15 +411,6 @@ class CampaignRunner:
     persistent, module-wide pool instead of forking a fresh one per
     campaign; see :func:`shutdown_warm_pools`.
 
-    ``engine`` pins the execution engine (:mod:`repro.cpu.engine`) for
-    every ``kind="pox"`` spec of the campaign by injecting an
-    ``exec_engine`` config override -- the override is part of the spec,
-    so it travels to process-pool and remote workers.  Specs that
-    already carry their own ``exec_engine`` override keep it; non-pox
-    kinds (attack/ltl/job bodies) build their devices outside the spec's
-    config and follow the process-wide selection
-    (``set_engine``/``REPRO_EXEC_BACKEND``) instead.
-
     ``store`` (a :class:`~repro.sim.store.ResultStore` or a directory
     path) makes the campaign incremental: with ``reuse=True`` (the
     default) specs whose fingerprint is already stored are served from
@@ -447,7 +431,7 @@ class CampaignRunner:
     """
 
     def __init__(self, backend: str = "serial", jobs: Optional[int] = None,
-                 warm: bool = False, engine: Optional[str] = None,
+                 warm: bool = False,
                  heartbeat: Optional[float] = None,
                  store=None, reuse: bool = True,
                  on_result: Optional[Callable[[ScenarioResult], None]] = None,
@@ -463,12 +447,6 @@ class CampaignRunner:
         if heartbeat is not None and backend != "remote":
             raise ValueError("heartbeats apply to the remote backend only, "
                              "not %r" % backend)
-        if engine is not None:
-            # Imported lazily to keep the campaign engine importable
-            # without the simulator stack at the top of the module.
-            from repro.cpu.engine import engine_class
-
-            engine_class(engine)  # validate eagerly, fail loudly
         if store is not None and not hasattr(store, "get"):
             # A path-like: build the store in place (mkdir included).
             from repro.sim.store import ResultStore
@@ -477,7 +455,6 @@ class CampaignRunner:
         self.backend = backend
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.warm = warm
-        self.engine = engine
         #: Remote backend only: worker heartbeat interval in seconds;
         #: the dispatcher registry then evicts (and requeues for) any
         #: worker silent for three heartbeats.
@@ -486,14 +463,6 @@ class CampaignRunner:
         self.reuse = reuse
         self.on_result = on_result
         self.fail_fast = fail_fast
-
-    def _spec_with_engine(self, spec: ScenarioSpec) -> ScenarioSpec:
-        if spec.kind != "pox":
-            return spec
-        if any(key == "exec_engine" for key, _value in spec.config_overrides):
-            return spec
-        overrides = spec.config_overrides + (("exec_engine", self.engine),)
-        return dataclasses.replace(spec, config_overrides=overrides)
 
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignResult:
         """Execute every spec; return a :class:`CampaignResult`.
@@ -530,8 +499,6 @@ class CampaignRunner:
         cached.
         """
         specs = list(specs)
-        if self.engine is not None:
-            specs = [self._spec_with_engine(spec) for spec in specs]
         started = time.perf_counter()
         tracer = get_tracer()
         # The campaign span is explicit begin/finish, not a context
@@ -644,7 +611,7 @@ class CampaignRunner:
             return
         if self.backend == "remote":
             # Imported lazily: the campaign engine must not drag the
-            # service layer in for the serial/thread/process backends.
+            # service layer in for the serial/process backends.
             from repro.net.remote import run_remote_campaign_iter
 
             yield from run_remote_campaign_iter(
@@ -666,10 +633,6 @@ class CampaignRunner:
                 with context.Pool(processes=processes) as pool:
                     yield from pool.imap_unordered(
                         _run_indexed, items, chunksize=1)
-        elif self.jobs > 1 and len(items) > 1 and self.backend == "thread":
-            with ThreadPool(processes=min(self.jobs, len(items))) as pool:
-                yield from pool.imap_unordered(
-                    _run_indexed, items, chunksize=1)
         else:
             for index, spec in items:
                 yield index, run_scenario(spec)

@@ -35,9 +35,10 @@ def comparable(result):
 
 
 class TestCampaignRunner:
-    def test_invalid_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["threads", "thread"])
+    def test_invalid_backend_rejected(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            CampaignRunner(backend="threads")
+            CampaignRunner(backend=backend)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -55,13 +56,6 @@ class TestCampaignRunner:
         process = CampaignRunner(backend="process", jobs=2).run(specs)
         assert [comparable(r) for r in serial] == [comparable(r) for r in process]
         assert process.backend == "process" and process.jobs == 2
-
-    def test_thread_backend_matches_serial_row_for_row(self):
-        specs = small_campaign()
-        serial = CampaignRunner(backend="serial").run(specs)
-        threaded = CampaignRunner(backend="thread", jobs=4).run(specs)
-        assert [comparable(r) for r in serial] == [comparable(r) for r in threaded]
-        assert threaded.backend == "thread" and threaded.jobs == 4
 
     def test_warm_pool_matches_serial_and_reuses_workers(self):
         from repro.sim import runner as runner_module
@@ -88,9 +82,9 @@ class TestCampaignRunner:
         with pytest.raises(ValueError, match="warm"):
             CampaignRunner(backend="serial", warm=True)
         with pytest.raises(ValueError, match="warm"):
-            CampaignRunner(backend="thread", warm=True)
+            CampaignRunner(backend="remote", warm=True)
 
-    def test_failures_are_isolated_in_thread_and_warm_backends(self):
+    def test_failures_are_isolated_in_warm_backend(self):
         from repro.sim import shutdown_warm_pools
 
         specs = [
@@ -99,11 +93,10 @@ class TestCampaignRunner:
                          firmware=FirmwareRef.of("no-such-firmware")),
         ]
         try:
-            for runner in (CampaignRunner(backend="thread", jobs=2),
-                           CampaignRunner(backend="process", jobs=2, warm=True)):
-                outcome = runner.run(specs)
-                assert outcome[0].ok and not outcome[1].ok
-                assert "no-such-firmware" in outcome[1].error
+            runner = CampaignRunner(backend="process", jobs=2, warm=True)
+            outcome = runner.run(specs)
+            assert outcome[0].ok and not outcome[1].ok
+            assert "no-such-firmware" in outcome[1].error
         finally:
             shutdown_warm_pools()
 
@@ -332,17 +325,16 @@ class TestFailFast:
         broken = ScenarioSpec(name="broken",
                               firmware=FirmwareRef.of("no-such-firmware"))
         specs = [broken] + self._ltl_specs(6)
-        for backend in ("thread", "process"):
-            outcome = CampaignRunner(backend=backend, jobs=2,
-                                     fail_fast=True).run(specs)
-            assert outcome.aborted
-            assert not outcome.all_ok()
-            # Spec order among whatever completed before the abort.
-            names = [result.name for result in outcome]
-            expected_order = [spec.name for spec in specs
-                              if spec.name in set(names)]
-            assert names == expected_order
-            assert "broken" in names
+        outcome = CampaignRunner(backend="process", jobs=2,
+                                 fail_fast=True).run(specs)
+        assert outcome.aborted
+        assert not outcome.all_ok()
+        # Spec order among whatever completed before the abort.
+        names = [result.name for result in outcome]
+        expected_order = [spec.name for spec in specs
+                          if spec.name in set(names)]
+        assert names == expected_order
+        assert "broken" in names
 
     def test_streamed_results_stop_after_failure(self):
         specs = self._ltl_specs(1) + [

@@ -6,11 +6,14 @@ events (button presses, UART bytes, DMA) firing mid-run.  The recorded
 traces, including every monitor-exported signal, must match entry for
 entry, and the protocol outcome must be identical.  This is the
 guarantee the hardware monitors rely on: a cache hit produces the same
-signal bundle, byte for byte, as a cold decode.
+signal bundle, byte for byte, as a cold decode.  The same holds on the
+observer-free batched path, including a hot loop that rewrites its own
+body.
 """
 
 import pytest
 
+from repro.device.mcu import Device, DeviceConfig
 from repro.firmware.attacks import attack_suite
 from repro.firmware.blinker import blinker_firmware
 from repro.firmware.sensor_logger import sensor_logger_firmware
@@ -20,6 +23,8 @@ from repro.firmware.syringe_pump import (
     syringe_pump_firmware,
 )
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
+from repro.isa.assembler import Assembler
+from repro.peripherals.registers import PeripheralRegisters
 
 
 def _entry_tuple(entry):
@@ -102,3 +107,75 @@ class TestAttackGalleryUnaffected:
         for scenario in attack_suite():
             outcome = scenario.run()
             assert outcome.detected, scenario.name
+
+
+def _assemble(source):
+    return Assembler().assemble(".section .text\n" + source,
+                                section_addresses={".text": 0xE000})
+
+
+def _encode_single(source):
+    """The encoded word of a one-instruction snippet (read back through
+    a scratch device, so the test never hardcodes an encoding)."""
+    device = Device(DeviceConfig(trace_enabled=False))
+    _assemble(source).write_to(device.memory)
+    return device.memory.peek_word(0xE000)
+
+
+# The loop body starts as "INC R6" (count by one) and is rewritten
+# in-place to "ADD #2, R6" (count by two) after the first pass -- the
+# rewrite targets a word the hot loop has already fetched many times.
+# R8 counts loop iterations: 40 on the first pass, 20 on each of the
+# three rewritten passes, and only if the fresh bytes execute.
+SELF_MODIFYING_SOURCE = (
+    "MOV #0x5A80, &0x%04X\n" % PeripheralRegisters.WDTCTL + """
+CLR R7
+CLR R8
+outer:
+CLR R6
+loop:
+INC R6
+INC R8
+CMP #40, R6
+JL loop
+MOV #0x%04X, &loop
+INC R7
+CMP #4, R7
+JL outer
+done:
+JMP done
+""")
+
+
+class TestSelfModifyingHotLoop:
+    def test_rewritten_loop_word_executes_fresh_bytes(self):
+        add2_word = _encode_single("ADD #2, R6")
+        assert add2_word != _encode_single("INC R6")
+        image = _assemble(SELF_MODIFYING_SOURCE % add2_word)
+        states = {}
+        devices = {}
+        for decode_cache in (True, False):
+            # Trace off, no monitors: the observer-free batched path.
+            device = Device(DeviceConfig(trace_enabled=False,
+                                         decode_cache_enabled=decode_cache))
+            image.write_to(device.memory)
+            device.ivt.set_reset_vector(0xE000)
+            device.reset()
+            # Two chunks, so the second re-enters the cached loop.
+            device.run_batch(137)
+            device.run_batch(863)
+            states[decode_cache] = {
+                "registers": list(device.cpu.registers),
+                "step_count": device.cpu.step_count,
+                "cycle_count": device.cpu.cycle_count,
+                "step_number": device.step_number,
+                "crashed": device.crashed,
+                "memory": device.memory.dump(0, 0x10000),
+            }
+            devices[decode_cache] = device
+        assert states[True] == states[False]
+        assert not states[True]["crashed"]
+        assert devices[True].decode_cache.invalidations > 0
+        registers = states[True]["registers"]
+        assert registers[7] == 4
+        assert registers[8] == 40 + 3 * 20

@@ -112,8 +112,8 @@ class TestCommandLine:
         assert main(["E7", "--backend", "process", "--jobs", "2"]) == 0
         assert "All 1 experiments" in capsys.readouterr().out
 
-    def test_thread_backend_flag_accepted(self, capsys):
-        assert main(["E7", "--backend", "thread", "--jobs", "2"]) == 0
+    def test_thread_backend_flag_rejected(self, capsys):
+        assert main(["E7", "--backend", "thread", "--jobs", "2"]) == 2
 
     def test_warm_pool_flag_runs_and_shuts_down(self, capsys):
         from repro.sim import shutdown_warm_pools
@@ -127,7 +127,7 @@ class TestCommandLine:
     def test_warm_pool_requires_process_backend(self, capsys):
         assert main(["E7", "--warm-pool"]) == 2
         assert "--warm-pool requires" in capsys.readouterr().err
-        assert main(["E7", "--backend", "thread", "--warm-pool"]) == 2
+        assert main(["E7", "--backend", "remote", "--warm-pool"]) == 2
 
     def test_fleet_experiment_runs_with_cluster_flags(self, capsys):
         assert main(["FLEET", "--shards", "2", "--heartbeat", "0.2"]) == 0

@@ -111,9 +111,9 @@ class TestAcceptanceSnapshot:
             CampaignRunner(store=tmp_path / "store").run(specs)
             warm = CampaignRunner(store=tmp_path / "store").run(specs)
             assert warm.store_hits == 2
-            # A 2-shard cluster run on the blocks engine: engine, cache
-            # and service gauges all publish through their collectors.
-            fleet = ClusterFleet(2, shards=2, exec_engine="blocks")
+            # A 2-shard cluster run: engine, cache and service gauges
+            # all publish through their collectors.
+            fleet = ClusterFleet(2, shards=2)
             report = fleet.run(exchanges_per_device=2)
             assert report.all_accepted()
             snapshot = get_registry().snapshot()
@@ -128,11 +128,8 @@ class TestAcceptanceSnapshot:
         assert counters["campaign.scenarios"] == 4
         assert counters["campaign.cached"] == 2
         assert histograms["campaign.scenario_seconds"]["count"] == 4
-        # engine.*: per-engine aggregates from live instances,
-        # including the blocks engine's chained-exit counter.
-        assert gauges["engine.blocks.instances"] >= 2
-        assert "engine.blocks.chained_exits" in gauges
-        assert "engine.blocks.block_runs" in gauges
+        # engine.*: the live interpreter instances.
+        assert gauges["engine.interp.instances"] >= 2
         # cache.*: process-wide decode-cache stats.
         assert gauges["cache.entries"] >= 0
         assert "cache.hits" in gauges

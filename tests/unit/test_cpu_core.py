@@ -332,6 +332,29 @@ class TestInterruptHandling:
         cpu.step()  # RETI restores the stacked SR, CPUOFF still set
         assert cpu.sleeping
 
+    @pytest.mark.parametrize("step_name", ["step", "step_quiet", "step_silent"])
+    def test_reti_popping_cpuoff_parks_a_hot_loop(self, step_name):
+        # RETI pops an SR with CPUOFF set and returns into the loop it
+        # left: every stepping path must go to sleep at that instant,
+        # with PC parked on the loop entry and the loop not re-run.
+        source = (
+            "loop:\n"
+            "INC R6\n"
+            "CMP #10, R6\n"
+            "JL loop\n"
+            "PUSH #loop\n"
+            "PUSH #0x0010\n"
+            "RETI\n"
+        )
+        cpu, _ = make_cpu(source)
+        step = getattr(cpu, step_name)
+        for _ in range(60):  # 33 instructions, then idle steps
+            step()
+        assert cpu.sleeping
+        assert cpu.pc == 0xE000
+        assert cpu.sp == 0x1200
+        assert cpu.registers[6] == 10
+
 
 class TestCycleAccounting:
     def test_cycles_accumulate(self):

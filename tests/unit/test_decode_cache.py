@@ -95,6 +95,14 @@ class TestDecodeCacheInDevice:
         assert len(device.decode_cache) == 2
         assert device.decode_cache.hits > 0
 
+    def test_aggregate_stats_sum_live_caches(self, device):
+        load_program(device, "loop:\nINC R6\nJMP loop\n")
+        device.run_steps(20)
+        totals = DecodeCache.aggregate_stats()
+        assert totals["caches"] >= 1
+        assert totals["hits"] >= device.decode_cache.hits >= 1
+        assert 0.0 <= totals["hit_rate"] <= 1.0
+
     def test_disabled_cache_is_absent(self):
         device = Device(DeviceConfig(decode_cache_enabled=False))
         assert device.decode_cache is None

@@ -184,6 +184,7 @@ class TestWatchdogExpiryResetsDevice:
         # vector, not silently keep running -- before the fix,
         # ``Watchdog.expired`` had no reader and expiry was a no-op.
         load_program(device, "loop:\nINC R6\nJMP loop\n")
+        registers = device.cpu.registers
         self.arm(device, 40)
         device.run_steps(60)
         assert device.watchdog_resets >= 1
@@ -192,6 +193,8 @@ class TestWatchdogExpiryResetsDevice:
         # up again from the reset vector, so it is far below the total
         # number of INC steps executed.
         assert 0 < device.cpu.registers[6] < 30
+        # ...and it cleared the register file in place.
+        assert device.cpu.registers is registers
 
     def test_expiry_with_unprogrammed_reset_vector_crashes(self, device):
         load_program(device, "loop:\nNOP\nJMP loop\n")

@@ -14,6 +14,7 @@ from repro.firmware.blinker import blinker_firmware
 from repro.firmware.syringe_pump import PumpParameters, syringe_pump_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.isa.assembler import Assembler
+from repro.peripherals.registers import PeripheralRegisters
 
 
 def load_program(device, source, base=0xE000):
@@ -43,11 +44,38 @@ def batched(bench_builder, steps):
 
 def assert_same_outcome(reference, candidate):
     assert candidate.device.step_number == reference.device.step_number
+    assert candidate.device.cpu.step_count == reference.device.cpu.step_count
     assert candidate.device.total_cycles == reference.device.total_cycles
     assert candidate.device.cpu.registers == reference.device.cpu.registers
     assert candidate.device.crashed == reference.device.crashed
     assert candidate.device.trace.total_cycles == reference.device.trace.total_cycles
     assert candidate.trace_entries() == reference.trace_entries()
+
+
+#: Stop the watchdog, run three MOVs, then ``RRC #0``: the RRC has no
+#: writeback address, so it faults at execution time, after completed
+#: steps in the same quiescent stretch.
+FAULTING_WRITEBACK = Assembler().assemble(
+    ".section .text\n"
+    + "MOV #0x5A80, &0x%04X\n" % PeripheralRegisters.WDTCTL
+    + "MOV R4, R4\n" * 3 + "RRC #0\n",
+    section_addresses={".text": 0x5000})
+
+
+def jump_to_unprogrammed(device):
+    # An illegal instruction: the fetch itself fails.
+    device.cpu.pc = 0x5000
+
+
+def jump_to_faulting_writeback(device):
+    FAULTING_WRITEBACK.write_to(device.memory)
+    device.cpu.pc = 0x5000
+
+
+CRASHES = [
+    pytest.param(jump_to_unprogrammed, id="illegal-fetch"),
+    pytest.param(jump_to_faulting_writeback, id="faulting-writeback"),
+]
 
 
 class TestRunBatchDifferential:
@@ -71,14 +99,14 @@ class TestRunBatchDifferential:
 
         assert_same_outcome(stepped(build, 600), batched(build, 600))
 
-    def test_traces_identical_through_crash(self):
+    @pytest.mark.parametrize("crash", CRASHES)
+    def test_traces_identical_through_crash(self, crash):
         def build():
             bench = PoxTestbench(blinker_firmware(authorized=True),
                                  TestbenchConfig())
-            # Jump into unprogrammed memory: an illegal instruction
-            # crashes the device, which then keeps emitting crash
-            # bundles -- the batched loop must record the same tail.
-            bench.device.cpu.pc = 0x5000
+            # The crashed device keeps emitting crash bundles -- the
+            # batched loop must record the same tail.
+            crash(bench.device)
             return bench
 
         reference, candidate = stepped(build, 40), batched(build, 40)
@@ -96,12 +124,13 @@ class TestRunBatchDifferential:
         assert_same_outcome(reference, candidate)
         assert candidate.trace_entries() == []
 
-    def test_observer_free_crash_state_identical(self):
+    @pytest.mark.parametrize("crash", CRASHES)
+    def test_observer_free_crash_state_identical(self, crash):
         def build():
             bench = PoxTestbench(blinker_firmware(authorized=True),
                                  TestbenchConfig(trace_enabled=False))
             bench.device.detach_monitor(bench.monitor)
-            bench.device.cpu.pc = 0x5000
+            crash(bench.device)
             return bench
 
         reference, candidate = stepped(build, 25), batched(build, 25)
