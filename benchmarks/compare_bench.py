@@ -9,7 +9,7 @@ any row's throughput regressed by more than ``--threshold`` (default
     python benchmarks/compare_bench.py --current BENCH_sim.json
     python benchmarks/compare_bench.py --absolute --threshold 0.10
 
-Four gated **profiles**, selected with ``--profile``:
+Five gated **profiles**, selected with ``--profile``:
 
 * ``sim`` (default): ``BENCH_sim.json`` rows keyed by ``label``
   (``interp-idle``, ``interp-memloop``, ``interp-attest``), rates from
@@ -32,6 +32,12 @@ Four gated **profiles**, selected with ``--profile``:
   ``scenarios_per_sec``, normalized to the ``serial-1`` row -- so the
   gate tracks backend scaling and the warm-store speedup of the
   incremental campaign path.
+* ``verify``: ``BENCH_verify.json`` rows keyed by ``label``
+  (``asap-21``, ``asap-21-cold``, ``oracle-vrased``), rates from
+  ``transitions_per_sec``, normalized to the ``oracle-vrased`` row (the
+  finite-trace semantics judging the ``vrased`` model's transitions one
+  by one) -- so the gate tracks the compiled model checker's speedup
+  over the reference semantics, warm and with model construction.
 
 Two comparison modes:
 
@@ -93,6 +99,13 @@ PROFILES = {
         "key": "label",
         "value": "scenarios_per_sec",
         "reference": "serial-1",
+    },
+    "verify": {
+        "baseline": "BENCH_verify.baseline.json",
+        "current": "BENCH_verify.json",
+        "key": "label",
+        "value": "transitions_per_sec",
+        "reference": "oracle-vrased",
     },
 }
 

@@ -7,7 +7,20 @@ in-tree explicit-state model checker over the abstract monitor models
 and reports per-property and aggregate statistics.  Absolute times are
 incomparable (different checker, different machine); the reproduced
 facts are the property count and that every property holds.
+
+:func:`test_verification_transitions_per_second` also records the
+suite's throughput in ``BENCH_verify.json`` (gated by
+``compare_bench.py --profile verify``): reachable transitions checked
+per second for the 21-property suite on prebuilt models (``asap-21``)
+and with model construction included (``asap-21-cold``), against the
+reference row ``oracle-vrased`` -- the finite-trace semantics
+(:func:`~repro.ltl.trace_checker.evaluate_at`) judging the 131,072
+``vrased`` transitions of ``vrased-reset-is-sticky`` one by one.
+
+Run with ``pytest benchmarks/test_bench_verification.py --benchmark-only -s``.
 """
+
+import time
 
 import pytest
 
@@ -17,6 +30,12 @@ from repro.ltl.properties import (
     apex_property_suite,
     asap_property_suite,
 )
+from repro.ltl.trace_checker import evaluate_at
+
+#: Required ``asap-21`` vs ``oracle-vrased`` transitions/sec ratio: the
+#: compiled checker must clearly beat evaluating the reference
+#: semantics transition by transition.
+REQUIRED_SPEEDUP = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +90,71 @@ def test_apex_verification_baseline(benchmark, models, table_printer):
          "holds": sum(1 for _, result in results if result.holds)},
     ])
     assert all(result.holds for _, result in results)
+
+
+def _best_seconds(work, rounds=5):
+    """Fastest of *rounds* timed calls of *work* (returns its last result)."""
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = work()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
+def test_verification_transitions_per_second(benchmark, models, table_printer,
+                                             bench_json):
+    """Transitions/sec of the ASAP suite (warm and cold) and of the oracle."""
+    suite = asap_property_suite()
+
+    def cold():
+        names = {spec.model for spec in suite}
+        return check_suite(suite, {name: MODEL_BUILDERS[name]() for name in names})
+
+    vrased = models["vrased"]
+    sticky = next(spec for spec in suite if spec.name == "vrased-reset-is-sticky")
+    body = sticky.formula.operand
+    pairs = [
+        [state.as_dict(), successor.as_dict()]
+        for state in vrased.reachable_states()
+        for successor in vrased.successors(state)
+    ]
+
+    def oracle():
+        return sum(1 for pair in pairs if evaluate_at(body, pair, 0))
+
+    warm_seconds, results = _best_seconds(lambda: check_suite(suite, models))
+    cold_seconds, cold_results = _best_seconds(cold)
+    oracle_seconds, oracle_holding = _best_seconds(oracle)
+    transitions = sum(result.transitions_checked for _, result in results)
+    assert all(result.holds for _, result in results + cold_results)
+    assert oracle_holding == len(pairs) == 131072
+
+    rates = {
+        "asap-21": transitions / warm_seconds,
+        "asap-21-cold": transitions / cold_seconds,
+        "oracle-vrased": len(pairs) / oracle_seconds,
+    }
+    table_printer("Verification throughput (reachable transitions checked)", [
+        {"label": label, "transitions/sec": "%.0f" % rate,
+         "vs oracle": "%.1fx" % (rate / rates["oracle-vrased"])}
+        for label, rate in rates.items()
+    ])
+    bench_json("BENCH_verify.json", {
+        "benchmark": "verification_transitions_per_second",
+        "unit": "transitions/sec",
+        "rows": [
+            # "label" is the row key the perf gate
+            # (compare_bench.py --profile verify) joins rows on.
+            {"label": label, "transitions_per_sec": rate,
+             "transitions": len(pairs) if label == "oracle-vrased" else transitions}
+            for label, rate in rates.items()
+        ],
+    })
+    # Timing statistics for the warm suite check.
+    benchmark.pedantic(check_suite, args=(suite, models), rounds=3)
+
+    speedup = rates["asap-21"] / rates["oracle-vrased"]
+    assert speedup >= REQUIRED_SPEEDUP, (
+        "expected the compiled checker to clear >= %.0fx the trace-semantics "
+        "oracle, got %.1fx" % (REQUIRED_SPEEDUP, speedup))

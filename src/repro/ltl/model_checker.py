@@ -12,13 +12,22 @@ reports counterexample paths when a property fails, and records simple
 statistics (states, transitions, wall-clock time) that the
 verification-cost bench aggregates into the reproduction's analogue of
 the paper's "21 properties, ~150 s" result.
+
+The check runs on integers.  :func:`compile_step` translates ``psi``
+once into a single Python function ``ok(cur_mask, next_mask)`` over the
+model's label masks (see :mod:`repro.ltl.kripke`): an atom becomes a
+test of its bit in ``cur_mask``, or in ``next_mask`` under ``X``.  The
+checker then walks the reachable id pairs and calls ``ok`` once per
+transition.  A state without successors is judged by a second
+compilation in which ``X`` reads as true (the weak next of
+:mod:`repro.ltl.trace_checker`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Mapping
 
 from repro.ltl.ast import (
     And,
@@ -32,7 +41,7 @@ from repro.ltl.ast import (
     Or,
     TrueFormula,
 )
-from repro.ltl.kripke import KripkeState, KripkeStructure
+from repro.ltl.kripke import KripkeStructure
 
 
 class UnsupportedFormulaError(Exception):
@@ -54,38 +63,54 @@ class CheckResult:
         return self.holds
 
 
-def _evaluate_step(formula: Formula, current: KripkeState,
-                   successor: Optional[KripkeState]) -> bool:
-    """Evaluate a propositional-plus-one-X formula over a transition."""
-    if isinstance(formula, TrueFormula):
-        return True
-    if isinstance(formula, FalseFormula):
-        return False
-    if isinstance(formula, Atom):
-        return current.value(formula.name)
-    if isinstance(formula, Not):
-        return not _evaluate_step(formula.operand, current, successor)
-    if isinstance(formula, And):
-        return _evaluate_step(formula.left, current, successor) and _evaluate_step(
-            formula.right, current, successor
-        )
-    if isinstance(formula, Or):
-        return _evaluate_step(formula.left, current, successor) or _evaluate_step(
-            formula.right, current, successor
-        )
-    if isinstance(formula, Implies):
-        return (not _evaluate_step(formula.left, current, successor)) or _evaluate_step(
-            formula.right, current, successor
-        )
-    if isinstance(formula, Next):
-        if successor is None:
-            return True
-        if not formula.operand.is_propositional():
-            raise UnsupportedFormulaError("nested temporal operators under X")
-        return _evaluate_step(formula.operand, successor, None)
-    raise UnsupportedFormulaError(
-        "formula %s is outside the supported safety fragment" % formula
-    )
+def compile_step(body: Formula, atom_bits: Mapping[str, int],
+                 weak_next=False) -> Callable[[int, int], bool]:
+    """Compile a propositional-plus-one-X *body* into ``ok(cur, nxt)``.
+
+    *cur* and *nxt* are label masks over *atom_bits*; atoms missing from
+    the table are false.  With *weak_next* every ``X`` subformula is
+    true (the judgement for a state without successors).  Subformulas
+    outside the fragment compile to a call that raises
+    :class:`UnsupportedFormulaError` when -- and only if -- evaluation
+    reaches them.
+    """
+    errors: List[str] = []
+
+    def unsupported(message):
+        errors.append(message)
+        return "_unsupported(%d)" % (len(errors) - 1)
+
+    def emit(formula, mask):
+        if isinstance(formula, TrueFormula):
+            return "True"
+        if isinstance(formula, FalseFormula):
+            return "False"
+        if isinstance(formula, Atom):
+            bit = atom_bits.get(formula.name)
+            return "False" if bit is None else "(%s & %d)" % (mask, bit)
+        if isinstance(formula, Not):
+            return "(not %s)" % emit(formula.operand, mask)
+        if isinstance(formula, And):
+            return "(%s and %s)" % (emit(formula.left, mask), emit(formula.right, mask))
+        if isinstance(formula, Or):
+            return "(%s or %s)" % (emit(formula.left, mask), emit(formula.right, mask))
+        if isinstance(formula, Implies):
+            return "(not %s or %s)" % (emit(formula.left, mask), emit(formula.right, mask))
+        if isinstance(formula, Next):
+            if weak_next:
+                return "True"
+            if not formula.operand.is_propositional():
+                return unsupported("nested temporal operators under X")
+            return emit(formula.operand, "nxt")
+        return unsupported("formula %s is outside the supported safety fragment" % formula)
+
+    def raise_unsupported(index):
+        raise UnsupportedFormulaError(errors[index])
+
+    # The source holds only integer masks, operators and _unsupported
+    # calls: atom names never reach eval.
+    source = "lambda cur, nxt: %s" % emit(body, "cur")
+    return eval(source, {"_unsupported": raise_unsupported})  # noqa: S307
 
 
 class ModelChecker:
@@ -93,12 +118,6 @@ class ModelChecker:
 
     def __init__(self, model: KripkeStructure):
         self.model = model
-        self._reachable = None
-
-    def _reachable_states(self):
-        if self._reachable is None:
-            self._reachable = self.model.reachable_states()
-        return self._reachable
 
     def check(self, formula: Formula, name="") -> CheckResult:
         """Model-check one property.
@@ -119,18 +138,25 @@ class ModelChecker:
         if body.next_depth() > 1:
             raise UnsupportedFormulaError("X nesting deeper than 1 is not supported")
 
-        reachable = self._reachable_states()
+        model = self.model
+        ok = compile_step(body, model.atom_bits)
+        ok_at_deadlock = None
+        masks = model.label_masks
+        reachable = model.reachable_ids()
         transitions_checked = 0
-        for state in reachable:
-            successors = self.model.successors(state)
-            if not successors:
-                if not _evaluate_step(body, state, None):
-                    return self._failure(name, state, None, started,
+        for state_id in reachable:
+            current = masks[state_id]
+            targets = model.successor_ids(state_id)
+            if not targets:
+                if ok_at_deadlock is None:
+                    ok_at_deadlock = compile_step(body, model.atom_bits, weak_next=True)
+                if not ok_at_deadlock(current, 0):
+                    return self._failure(name, state_id, None, started,
                                          len(reachable), transitions_checked)
-            for successor in successors:
+            for target in targets:
                 transitions_checked += 1
-                if not _evaluate_step(body, state, successor):
-                    return self._failure(name, state, successor, started,
+                if not ok(current, masks[target]):
+                    return self._failure(name, state_id, target, started,
                                          len(reachable), transitions_checked)
         return CheckResult(
             holds=True,
@@ -151,10 +177,10 @@ class ModelChecker:
             results.append(self.check(formula, name=name))
         return results
 
-    def _failure(self, name, state, successor, started, states, transitions):
-        counterexample = [state.as_dict()]
-        if successor is not None:
-            counterexample.append(successor.as_dict())
+    def _failure(self, name, state_id, successor_id, started, states, transitions):
+        counterexample = [self.model.state(state_id).as_dict()]
+        if successor_id is not None:
+            counterexample.append(self.model.state(successor_id).as_dict())
         return CheckResult(
             holds=False,
             property_name=name,

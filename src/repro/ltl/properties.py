@@ -90,14 +90,16 @@ def build_er_flow_model(enforce_ltl3: bool) -> KripkeStructure:
     """The EXEC flag driven by the control-flow rules (LTL 1, 2 and
     optionally the APEX-only LTL 3)."""
 
+    environment = list(_er_flow_inputs())
+
     def initial_states():
-        for inputs in _er_flow_inputs():
+        for inputs in environment:
             state = dict(inputs)
             state["exec"] = False
             yield state
 
     def successors(state):
-        for inputs in _er_flow_inputs():
+        for inputs in environment:
             violation = False
             if state["pc_in_er"] and not inputs["pc_in_er"] and not state["pc_at_ermax"]:
                 violation = True  # LTL 1: illegal exit
@@ -137,14 +139,16 @@ def build_memory_protection_model() -> KripkeStructure:
     """The EXEC flag driven by the memory-protection rules (shared by
     APEX and ASAP)."""
 
+    environment = list(_memory_inputs())
+
     def initial_states():
-        for inputs in _memory_inputs():
+        for inputs in environment:
             state = dict(inputs)
             state["exec"] = False
             yield state
 
     def successors(state):
-        for inputs in _memory_inputs():
+        for inputs in environment:
             violation = any(state[name] for name in _MEMORY_INPUT_ATOMS)
             if violation:
                 exec_next = False
@@ -173,15 +177,17 @@ def build_ivt_guard_model() -> KripkeStructure:
     EXEC output constrained by the guard (EXEC can only be 1 in Run).
     """
 
+    environment = list(_boolean_combinations(_IVT_INPUT_ATOMS))
+
     def initial_states():
-        for inputs in _boolean_combinations(_IVT_INPUT_ATOMS):
+        for inputs in environment:
             state = dict(inputs)
             state["guard_run"] = True
             state["exec"] = False
             yield state
 
     def successors(state):
-        for inputs in _boolean_combinations(_IVT_INPUT_ATOMS):
+        for inputs in environment:
             ivt_write = state["Wen_ivt"] or state["DMA_ivt"]
             if ivt_write:
                 guard_run = False
@@ -233,14 +239,16 @@ def build_vrased_model() -> KripkeStructure:
     safety properties checked here.
     """
 
+    environment = list(_vrased_inputs())
+
     def initial_states():
-        for inputs in _vrased_inputs():
+        for inputs in environment:
             state = dict(inputs)
             state["reset"] = False
             yield state
 
     def successors(state):
-        for inputs in _vrased_inputs():
+        for inputs in environment:
             violation = False
             if state["key_access"] and not state["pc_in_swatt"]:
                 violation = True

@@ -2,7 +2,19 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ltl.ast import Atom, Globally, Implies, Next, Not
+from repro.ltl.ast import (
+    And,
+    Atom,
+    FalseFormula,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    TrueFormula,
+)
+from repro.ltl.kripke import KripkeState, KripkeStructure
+from repro.ltl.model_checker import ModelChecker
 from repro.ltl.parser import parse_ltl
 from repro.ltl.trace_checker import check_trace, evaluate_at, find_violation
 from repro.memory.layout import MemoryRegion
@@ -110,3 +122,102 @@ class TestLtlSemanticsProperties:
         assert parse_ltl(str(formula)) == formula
         # Semantics preserved through the round trip as well.
         assert check_trace(parse_ltl(str(formula)), trace) == check_trace(formula, trace)
+
+
+# --------------------------------------------------------------------------
+# Differential oracle: the compiled model checker against the trace checker
+# --------------------------------------------------------------------------
+
+_ATOMS = st.sampled_from(("p", "q", "r"))
+
+
+def _connectives(children):
+    return st.one_of(
+        children.map(Not),
+        st.tuples(children, children).map(lambda pair: And(*pair)),
+        st.tuples(children, children).map(lambda pair: Or(*pair)),
+        st.tuples(children, children).map(lambda pair: Implies(*pair)),
+    )
+
+
+#: Propositional formulas over p/q/r.
+propositional = st.recursive(
+    st.one_of(_ATOMS.map(Atom), st.just(TrueFormula()), st.just(FalseFormula())),
+    _connectives, max_leaves=6,
+)
+
+#: Step bodies: propositional formulas with at most one level of X.
+step_bodies = st.recursive(
+    st.one_of(propositional, propositional.map(Next)), _connectives, max_leaves=8,
+)
+
+
+@st.composite
+def kripke_structures(draw):
+    """A random structure over p/q/r, plus its states and edges as drawn.
+
+    States may leave atoms out (missing atoms read false), some states
+    may have no successors, and some may be unreachable.
+    """
+    states = draw(st.lists(
+        st.dictionaries(_ATOMS, st.booleans()),
+        min_size=1, max_size=6,
+        unique_by=lambda values: frozenset(values.items()),
+    ))
+    indices = st.integers(min_value=0, max_value=len(states) - 1)
+    initial = draw(st.sets(indices, min_size=1))
+    edges = draw(st.sets(st.tuples(indices, indices), max_size=12))
+    model = KripkeStructure()
+    for index, values in enumerate(states):
+        model.add_state(KripkeState.from_dict(values), initial=index in initial)
+    for source, target in sorted(edges):
+        model.add_transition(KripkeState.from_dict(states[source]),
+                             KripkeState.from_dict(states[target]))
+    return model, states, initial, edges
+
+
+def _reachable(initial, edges):
+    reachable, frontier = set(initial), list(initial)
+    while frontier:
+        source = frontier.pop()
+        for edge_source, target in edges:
+            if edge_source == source and target not in reachable:
+                reachable.add(target)
+                frontier.append(target)
+    return reachable
+
+
+class TestModelCheckerMatchesTraceSemantics:
+    """``ModelChecker.check`` agrees with ``evaluate_at`` on every
+    reachable transition (and, with the weak next, on every reachable
+    state without successors)."""
+
+    @given(kripke_structures(), step_bodies, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_statistics_and_counterexample(self, structure, body, wrap):
+        model, states, initial, edges = structure
+        if not wrap and not body.is_propositional():
+            wrap = True  # a bare formula with X is not in the fragment
+        result = ModelChecker(model).check(Globally(body) if wrap else body)
+
+        reachable = _reachable(initial, edges)
+        reachable_edges = {(s, t) for s, t in edges if s in reachable}
+        deadlocks = {s for s in reachable if not any(e[0] == s for e in edges)}
+        expected = all(
+            evaluate_at(body, [states[s], states[t]], 0) for s, t in reachable_edges
+        ) and all(evaluate_at(body, [states[s]], 0) for s in deadlocks)
+
+        assert result.holds == expected
+        assert result.states_explored == len(reachable)
+        if result.holds:
+            assert result.transitions_checked == len(reachable_edges)
+            assert result.counterexample == []
+            return
+        assert result.transitions_checked <= len(reachable_edges)
+        witness = [states.index(values) for values in result.counterexample]
+        assert witness[0] in reachable
+        if len(witness) == 2:
+            assert tuple(witness) in edges
+        else:
+            assert len(witness) == 1 and witness[0] in deadlocks
+        assert not evaluate_at(body, result.counterexample, 0)

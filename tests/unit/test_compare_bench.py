@@ -219,3 +219,14 @@ class TestAttestAndCampaignProfiles:
             "--baseline", str(baseline), "--current", str(current)])
         assert code == 0
         assert "OK" in capsys.readouterr().out
+
+
+class TestVerifyProfile:
+    def test_committed_verify_baseline_matches_profile(self):
+        profile = compare_bench.PROFILES["verify"]
+        rates = compare_bench.load_rates(
+            _SCRIPT.parent / profile["baseline"],
+            key=profile["key"], value=profile["value"])
+        assert set(rates) == {"asap-21", "asap-21-cold", "oracle-vrased"}
+        # The compiled checker must beat the reference semantics.
+        assert rates["asap-21"] > 5 * rates[profile["reference"]]

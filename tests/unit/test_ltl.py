@@ -180,6 +180,19 @@ class TestKripkeStructure:
         successors = model.successors(initial)
         assert len(successors) == 1
 
+    def test_states_are_numbered_and_labelled_once(self):
+        model = KripkeStructure()
+        a = model.add_state(KripkeState.from_dict({"x": True, "y": False}), initial=True)
+        model.add_state(KripkeState.from_dict({"y": False, "x": True}))
+        model.add_transition(a, KripkeState.from_dict({"y": True}))
+        assert model.state_count() == 2
+        assert model.state(0) == a
+        assert model.successor_ids(0) == {1}
+        assert model.reachable_ids() == [0, 1]
+        x, y = model.atom_bits["x"], model.atom_bits["y"]
+        assert model.label_masks == [x, y]
+        assert KripkeState.from_dict({"x": 1}) == KripkeState.from_dict({"x": True})
+
     def test_exploration_bound(self):
         def successors(state):
             yield {"n%d" % (len(state) + 1): True, **state}
@@ -226,6 +239,26 @@ class TestModelChecker:
             checker.check(parse_ltl("G (p -> X X q)"))
         with pytest.raises(UnsupportedFormulaError):
             checker.check(parse_ltl("G (F p)"))
+
+    def test_unsupported_subformula_raises_only_when_reached(self):
+        checker = ModelChecker(self.simple_model())
+        assert checker.check(parse_ltl("G (true | F p)")).holds
+        with pytest.raises(UnsupportedFormulaError):
+            checker.check(parse_ltl("G (p -> X (F q))"))
+
+    def test_state_without_successors_reads_next_weakly(self):
+        model = KripkeStructure()
+        model.add_state(KripkeState.from_dict({"p": True}), initial=True)
+        checker = ModelChecker(model)
+        assert checker.check(parse_ltl("G (p & X false)")).holds
+        result = checker.check(parse_ltl("G !p"))
+        assert not result.holds
+        assert result.counterexample == [{"p": True}]
+
+    def test_atoms_unknown_to_the_model_read_false(self):
+        checker = ModelChecker(self.simple_model())
+        assert checker.check(parse_ltl("G !missing")).holds
+        assert not checker.check(parse_ltl("G (p -> X missing)")).holds
 
     def test_check_suite(self):
         checker = ModelChecker(self.simple_model())

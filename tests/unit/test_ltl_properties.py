@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ltl.kripke import KripkeState
 from repro.ltl.model_checker import ModelChecker
 from repro.ltl.parser import parse_ltl
 from repro.ltl.properties import (
@@ -15,6 +16,11 @@ from repro.ltl.properties import (
     build_model,
     vrased_property_suite,
 )
+from repro.ltl.trace_checker import evaluate_at
+
+#: Reachable transitions checked over the whole 21-property ASAP suite;
+#: the benchmark's traced determinism guard compares this total.
+ASAP_SUITE_TRANSITIONS = 1321920
 
 
 class TestSuiteComposition:
@@ -117,3 +123,36 @@ class TestPropertyVerification:
         assert checker.check(converse).holds  # the model always sets EXEC at ER_min
         stronger = parse_ltl("G (exec -> pc_in_er)")
         assert not checker.check(stronger).holds
+
+
+class TestCheckStatistics:
+    """The statistics the verification benchmarks report and compare."""
+
+    def test_statistics_cover_every_reachable_transition(self, verification_models):
+        models, asap_total = set(), 0
+        for in_asap, suite in ((True, asap_property_suite()), (False, apex_property_suite())):
+            for spec in suite:
+                model = verification_models[spec.model]
+                reachable = model.reachable_states()
+                transitions = sum(len(model.successors(state)) for state in reachable)
+                result = ModelChecker(model).check(spec.formula, name=spec.name)
+                assert result.states_explored == len(reachable), spec.name
+                assert result.transitions_checked == transitions, spec.name
+                models.add(spec.model)
+                if in_asap:
+                    asap_total += result.transitions_checked
+        assert models == set(MODEL_BUILDERS)
+        assert asap_total == ASAP_SUITE_TRANSITIONS
+
+    def test_false_vrased_property_has_a_real_counterexample(self, verification_models):
+        model = verification_models["vrased"]
+        body = parse_ltl("pc_in_swatt -> X pc_in_swatt")
+        result = ModelChecker(model).check(parse_ltl("G (%s)" % body), name="leaves-swatt")
+        assert not result.holds
+        assert result.property_name == "leaves-swatt"
+        state, successor = (KripkeState.from_dict(values)
+                            for values in result.counterexample)
+        assert state in model.reachable_states()
+        assert successor in model.successors(state)
+        assert not evaluate_at(body, result.counterexample, 0)
+        assert 0 < result.transitions_checked <= model.transition_count()
