@@ -50,7 +50,7 @@ class AsapMonitor(PoxMonitorBase):
         # The guard FSM is stepped first so its state matches Fig. 3; the
         # violation record is what actually clears the monitor's EXEC bit.
         write_event = self.ivt_guard.ivt_write_in(bundle)
-        self.ivt_guard.observe(bundle)
+        self.ivt_guard.advance(bundle, write_event)
         if write_event is not None:
             self._record(
                 "ap1-ivt-modified", bundle,

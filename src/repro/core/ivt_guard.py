@@ -80,6 +80,8 @@ class IvtGuard:
         Implements the Fig. 3 trigger condition
         ``(Wen ∧ Daddr ∈ IVT) ∨ (DMAen ∧ DMAaddr ∈ IVT)``.
         """
+        if not bundle.writes and not bundle.dma_writes:
+            return None
         for address in bundle.write_addresses:
             if self.ivt_region.contains(address):
                 return IvtWriteEvent(bundle.cycle, "cpu", address)
@@ -90,7 +92,15 @@ class IvtGuard:
 
     def observe(self, bundle: SignalBundle):
         """Advance the FSM by one cycle; return the new state."""
-        write_event = self.ivt_write_in(bundle)
+        return self.advance(bundle, self.ivt_write_in(bundle))
+
+    def advance(self, bundle: SignalBundle, write_event: Optional[IvtWriteEvent]):
+        """Advance the FSM by one cycle given the step's IVT write.
+
+        *write_event* must be ``ivt_write_in(bundle)``; callers that
+        already scanned the bundle pass the result instead of scanning
+        twice.  Returns the new state.
+        """
         if write_event is not None:
             self.events.append(write_event)
             self.state = IvtGuardState.NOT_EXEC

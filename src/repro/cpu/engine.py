@@ -45,7 +45,8 @@ class InterpreterEngine:
 
         Preconditions (established by ``Device.run_batch``): the device
         has not crashed, no scheduled event is due within *chunk* steps,
-        and the peripherals are quiescent with no interrupt pending.
+        every peripheral is idle indefinitely (idle horizon ``None``) and
+        no interrupt is pending.
         Returns the number of steps executed.
         """
         device = self.device

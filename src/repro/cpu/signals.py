@@ -102,6 +102,10 @@ class SignalBundle:
 
     def writes_into(self, region):
         """``True`` if any CPU write touched *region*."""
+        if not self.writes:
+            # Most steps write nothing (every low-power sleep step);
+            # skip building the address list.
+            return False
         return any(region.contains(address) for address in self.write_addresses)
 
     def reads_from(self, region):
@@ -114,6 +118,8 @@ class SignalBundle:
 
     def dma_writes_into(self, region):
         """``True`` if any DMA write touched *region*."""
+        if not self.dma_writes:
+            return False
         return any(region.contains(address) for address in self.dma_write_addresses)
 
     def pc_in(self, region):

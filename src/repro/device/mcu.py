@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.cpu.core import CPU, CPUError
+from repro.cpu.core import CPU, IDLE_CYCLES, CPUError
 from repro.cpu.decode_cache import DecodeCache
 from repro.cpu.engine import InterpreterEngine
 from repro.cpu.signals import MemoryWrite, SignalBundle
 from repro.device.trace import TraceRecorder
+from repro.isa.registers import PC, SR, StatusFlag
 from repro.memory.ivt import InterruptVectorTable
 from repro.memory.layout import MemoryLayout
 from repro.memory.memory import Memory
@@ -28,6 +29,9 @@ from repro.peripherals.registers import InterruptVectors, PeripheralRegisters
 from repro.peripherals.timer import TimerA
 from repro.peripherals.uart import Uart
 from repro.peripherals.watchdog import Watchdog
+
+_GIE = int(StatusFlag.GIE)
+_CPUOFF = int(StatusFlag.CPUOFF)
 
 
 @dataclass
@@ -118,12 +122,13 @@ class Device:
             self.interrupt_controller.attach(peripheral)
 
         # --- quiescence-based fast loop wiring -------------------------
-        # While every peripheral is quiescent and no interrupt is
-        # pending, the step loop skips the per-step peripheral ticks and
-        # interrupt arbitration entirely.  Anything that could change
-        # that -- a write into the peripheral register page, a scheduled
-        # event, an externally received UART byte, an injected interrupt
-        # request, or a serviced one -- raises ``_periph_dirty`` again.
+        # While every peripheral is idle indefinitely (idle horizon
+        # ``None``) and no interrupt is pending, the step loop skips the
+        # per-step peripheral ticks and interrupt arbitration entirely.
+        # Anything that could change that -- a write into the peripheral
+        # register page, a scheduled event, an externally received UART
+        # byte, an injected interrupt request, or a serviced one --
+        # raises ``_periph_dirty`` again.
         self._periph_dirty = True
         peripheral_page_end = 0x01FF
 
@@ -151,6 +156,10 @@ class Device:
         self._events: List[ScheduledEvent] = []
         self._last_step_cycles = 0
         self.step_number = 0
+        #: Steps run inside low-power sleep stretches (see
+        #: :meth:`_sleep_stretch`), i.e. without per-step peripheral
+        #: ticks; counted with ``step_number``.
+        self.sleep_stretch_steps = 0
         #: Number of warm (PUC-style) resets triggered by watchdog expiry.
         self.watchdog_resets = 0
         #: Set when the CPU hit an illegal instruction (e.g. it was tricked
@@ -202,6 +211,7 @@ class Device:
         self._events = []
         self._last_step_cycles = 0
         self.step_number = 0
+        self.sleep_stretch_steps = 0
         self.watchdog_resets = 0
         self.crashed = False
         self.crash_reason = ""
@@ -258,7 +268,8 @@ class Device:
                 self._watchdog_reset()
             pending = self.interrupt_controller.highest_pending()
             if pending is None and all(
-                peripheral.quiescent() for peripheral in self.peripherals
+                peripheral.idle_horizon() is None
+                for peripheral in self.peripherals
             ):
                 # Nothing can change until a wake signal fires; stop
                 # ticking (see the wiring in __init__).
@@ -343,17 +354,39 @@ class Device:
     def run(self, max_steps=10000, stop_condition=None):
         """Run until *stop_condition(bundle, device)* is true or *max_steps*.
 
+        Steps go through :meth:`step`, except that once a step leaves
+        the CPU asleep in low-power mode, the sleep steps that follow run
+        as one stretch (:meth:`_sleep_stretch`), bounded by the nearest
+        peripheral's idle horizon and the next scheduled event.  Each
+        step of a stretch still builds its own sleep bundle, feeds it to
+        every monitor, records it in the trace and offers it to
+        *stop_condition*; the peripherals are not ticked step by step
+        but advanced in one go when the stretch ends.  Traces, monitor
+        state, registers, memory and cycle/step counts are exactly those
+        of calling :meth:`step` in a loop.
+
+        *stop_condition* is a predicate: it must not change the device.
+        Inside a stretch it sees the peripheral registers (Timer A's
+        counter, say) as they were when the stretch began.
+
         Returns the number of steps executed.
         """
         executed = 0
         step = self.step
-        for _ in range(max_steps):
+        registers = self.cpu.registers
+        while executed < max_steps:
             bundle = step()
             executed += 1
             if self.crashed:
                 break
             if stop_condition is not None and stop_condition(bundle, self):
                 break
+            if registers[SR] & _CPUOFF:
+                slept, stopped = self._sleep_stretch(
+                    max_steps - executed, stop_condition)
+                executed += slept
+                if stopped:
+                    break
         return executed
 
     def run_until_pc(self, address, max_steps=10000):
@@ -388,18 +421,30 @@ class Device:
         Behaviourally identical to calling :meth:`step` *count* times --
         the differential tests pin byte-identical traces -- but the
         crash flag, the event schedule and the peripheral-tick decision
-        are checked once per quiescent stretch instead of once per step:
-        while no event is due, the peripherals are provably idle and the
-        device has not crashed, the chunk is handed to the execution
-        engine (:mod:`repro.cpu.engine`), which goes straight from fetch
-        to trace.  ``benchmarks/test_bench_sim_throughput.py`` records
-        the speedup over the per-step :meth:`run` loop.
+        are checked once per stretch instead of once per step.  Two
+        kinds of stretch skip the per-step peripheral ticks:
+
+        * while no event is due, every peripheral is idle indefinitely
+          and the device has not crashed, the chunk is handed to the
+          execution engine (:mod:`repro.cpu.engine`), which goes
+          straight from fetch to trace;
+        * while the CPU sleeps in low-power mode with a peripheral
+          still counting (Timer A running towards its compare, the
+          watchdog counting down), :meth:`_sleep_stretch` runs the
+          sleep steps up to the nearest peripheral's idle horizon and
+          then advances the peripherals in one go.
+
+        ``benchmarks/test_bench_sim_throughput.py`` records the speedup
+        over the per-step :meth:`run` loop.
         """
         remaining = count
+        registers = self.cpu.registers
         while remaining > 0:
             if self.crashed or self._periph_dirty:
                 self.step()
                 remaining -= 1
+                if registers[SR] & _CPUOFF:
+                    remaining -= self._sleep_stretch(remaining)[0]
                 continue
             chunk = remaining
             events = self._events
@@ -415,6 +460,78 @@ class Device:
                     chunk = margin
             remaining -= self.engine.quiescent_chunk(chunk)
         return count
+
+    def _sleep_stretch(self, limit, stop_condition=None):
+        """Run up to *limit* low-power sleep steps without peripheral ticks.
+
+        Called right after a step that left the CPU in low-power mode.
+        The stretch only starts when that step consumed
+        ``IDLE_CYCLES`` (so every skipped tick would be a one-cycle
+        tick), the device has not crashed and no interrupt is injected
+        or pending.  It then runs ``k = min(limit, steps before the next
+        scheduled event, every peripheral's idle horizon)`` steps: none
+        of the skipped ticks could change anything but a counter, so no
+        interrupt can arrive and the CPU stays asleep throughout.  Each
+        step builds its own sleep bundle through the CPU's bundle
+        accounting, is observed by every monitor, recorded in the trace
+        and offered to *stop_condition*; afterwards every peripheral
+        gets ``advance_idle(steps_run)``.
+
+        Returns ``(steps_run, stopped)``, where ``stopped`` says whether
+        *stop_condition* ended the stretch.
+        """
+        if self._last_step_cycles != IDLE_CYCLES or self.crashed:
+            return 0, False
+        horizon = limit
+        for peripheral in self.peripherals:
+            peripheral_horizon = peripheral.idle_horizon()
+            if peripheral_horizon is not None and peripheral_horizon < horizon:
+                horizon = peripheral_horizon
+        events = self._events
+        if events:
+            margin = events[0].step - self.step_number - 1
+            if margin < horizon:
+                horizon = margin
+        if horizon <= 0 or self.interrupt_controller.highest_pending() is not None:
+            return 0, False
+
+        cpu = self.cpu
+        if cpu._writes:
+            cpu._writes = []
+        if cpu._reads:
+            cpu._reads = []
+        make_bundle = cpu._make_bundle
+        pc = cpu.registers[PC]
+        gie = bool(cpu.registers[SR] & _GIE)
+        monitors = self.monitors
+        exporters = self._signal_exporters
+        record = self.trace.record
+        steps_run = 0
+        stopped = False
+        while steps_run < horizon:
+            steps_run += 1
+            self.step_number += 1
+            bundle = make_bundle(pc, pc, gie, True,
+                                 instruction="(sleep)", cycles=IDLE_CYCLES)
+            if exporters:
+                monitor_signals: Dict[str, int] = {}
+                for monitor in monitors:
+                    monitor.observe(bundle)
+                for monitor in exporters:
+                    monitor_signals.update(monitor.signal_values())
+                record(bundle, monitor_signals)
+            else:
+                for monitor in monitors:
+                    monitor.observe(bundle)
+                record(bundle)
+            if stop_condition is not None and stop_condition(bundle, self):
+                stopped = True
+                break
+
+        for peripheral in self.peripherals:
+            peripheral.advance_idle(steps_run)
+        self.sleep_stretch_steps += steps_run
+        return steps_run, stopped
 
     # ------------------------------------------------------------ helpers
 

@@ -13,15 +13,41 @@ monitored data bus).
 Tick fast path
 --------------
 
-:meth:`tick` and :meth:`interrupt_pending` run once per simulated step
-for every peripheral, so re-reading the memory-mapped registers each
-time dominates the cost of an otherwise idle peripheral.  Subclasses
+Whenever the device ticks peripherals at all (outside the stretches
+described under *Idle horizons*), :meth:`tick` and
+:meth:`interrupt_pending` run once per simulated step for every
+peripheral, so re-reading the memory-mapped registers each time
+dominates the cost of an otherwise idle peripheral.  Subclasses
 call :meth:`_watch_registers` to register a dirty flag with the memory's
 write-listener hook: any mutation of the watched address range (CPU or
 DMA bus write *or* load-time store) sets ``_regs_dirty``, and the tick
 can return immediately while the flag is clear and the peripheral has no
 internal work pending.  The flag starts dirty so the first tick always
-evaluates the registers.
+evaluates the registers.  A tick that stores into its own registers
+(Timer A's counter, the watchdog's self-clearing bit) folds those stores
+in and leaves the flag clear: only writes from outside re-dirty it.
+
+Idle horizons
+-------------
+
+:meth:`idle_horizon` tells the device how long the peripheral can go
+without a real tick:
+
+* ``None`` -- idle indefinitely: until a watched register is written or
+  an external stimulus arrives (both raise flags the device listens
+  to), a tick would neither change any state nor depend on the elapsed
+  cycles.  While every peripheral says ``None`` and no interrupt is
+  pending, the device stops ticking peripherals altogether.
+* ``0`` -- the next tick does real work (a dirty register, a transfer
+  in flight, a compare or expiry due on the next cycle).
+* ``n`` -- the next *n* one-cycle ticks only count (a timer counter
+  climbing towards its compare, a watchdog counting down); none of them
+  sets a flag, raises an interrupt or expires.  :meth:`advance_idle`
+  applies up to *n* such ticks at once.
+
+The device's sleep stretches (see :meth:`repro.device.mcu.Device.run`)
+run ``k`` low-power steps without ticking anything, bounded by the
+smallest horizon, then call ``advance_idle(k)`` on every peripheral.
 """
 
 from __future__ import annotations
@@ -95,18 +121,24 @@ class Peripheral:
     def tick(self, elapsed_cycles):
         """Advance the peripheral by *elapsed_cycles* CPU cycles."""
 
-    def quiescent(self):
-        """``True`` when skipping this peripheral's tick is unobservable.
+    def idle_horizon(self):
+        """How many one-cycle ticks may be skipped; see the module docstring.
 
-        A quiescent peripheral promises that, until one of its watched
-        registers is written or an external stimulus arrives (both of
-        which raise flags the device listens to), its :meth:`tick` would
-        neither change any state nor depend on the elapsed cycles.  The
-        device's fast run loop stops ticking peripherals entirely while
-        all of them are quiescent.  The conservative default is ``False``
-        (always tick).
+        Returns ``None`` (idle indefinitely), ``0`` (the next tick must
+        run) or ``n`` (the next *n* one-cycle ticks only count, and
+        :meth:`advance_idle` can apply them).  The conservative default
+        is ``0``: always tick.
         """
-        return False
+        return 0
+
+    def advance_idle(self, cycles):
+        """Apply *cycles* one-cycle ticks at once.
+
+        Only called with ``cycles`` no larger than a non-``None``
+        :meth:`idle_horizon`, or on a peripheral whose horizon is
+        ``None`` -- where ticks are unobservable, so the default does
+        nothing.  A subclass returning a positive horizon overrides it.
+        """
 
     def interrupt_pending(self):
         """Return ``True`` if the peripheral is requesting an interrupt."""

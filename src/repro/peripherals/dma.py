@@ -78,9 +78,11 @@ class DmaController(Peripheral):
 
     # ------------------------------------------------------------ peripheral
 
-    def quiescent(self):
-        return (not self._regs_dirty and not self._active
-                and not self._step_reads and not self._step_writes)
+    def idle_horizon(self):
+        if (self._regs_dirty or self._active
+                or self._step_reads or self._step_writes):
+            return 0
+        return None
 
     def tick(self, elapsed_cycles):
         # The per-step activity lists were handed over to the signal

@@ -85,10 +85,12 @@ class GpioPort(Peripheral):
 
     # ------------------------------------------------------------ peripheral
 
-    def quiescent(self):
+    def idle_horizon(self):
         # With a cycle source installed the elapsed-cycle argument is
         # not needed either, so a clean-register tick is a no-op.
-        return not self._regs_dirty and self.cycle_source is not None
+        if self._regs_dirty or self.cycle_source is None:
+            return 0
+        return None
 
     def tick(self, elapsed_cycles):
         if self.cycle_source is None:

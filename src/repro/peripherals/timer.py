@@ -12,6 +12,11 @@ from repro.peripherals.base import Peripheral
 from repro.peripherals.registers import InterruptVectors, PeripheralRegisters, TimerBits
 
 
+#: Idle horizon of a running timer with no compare value (TACCR0 = 0):
+#: one full period of the 16-bit counter.
+FREE_RUNNING_HORIZON = 0x10000
+
+
 class TimerA(Peripheral):
     """Up-mode timer with a single capture/compare channel (CCR0)."""
 
@@ -58,20 +63,36 @@ class TimerA(Peripheral):
 
     # ------------------------------------------------------------ peripheral
 
-    def quiescent(self):
-        # A disabled timer neither counts nor raises interrupts; its
-        # state can only change through a register write.
-        return not self._regs_dirty and not self._enabled_cache
+    def idle_horizon(self):
+        if self._regs_dirty:
+            return 0
+        if not self._enabled_cache:
+            # A disabled timer neither counts nor raises interrupts; its
+            # state can only change through a register write.
+            return None
+        compare = self._read_word(PeripheralRegisters.TACCR0)
+        if not compare:
+            # No compare value: the counter only ever wraps, so every
+            # tick just counts; report one full counter period.
+            return FREE_RUNNING_HORIZON
+        return max(compare - self._read_word(PeripheralRegisters.TAR) - 1, 0)
+
+    def advance_idle(self, cycles):
+        if cycles and self._enabled_cache:
+            counter = self._read_word(PeripheralRegisters.TAR) + cycles
+            self._store_word(PeripheralRegisters.TAR, counter & 0xFFFF)
+            # Our own store re-fired the register watch; fold it in.
+            self._regs_dirty = False
 
     def tick(self, elapsed_cycles):
         if self._regs_dirty:
-            self._regs_dirty = False
             control = self._read_word(PeripheralRegisters.TACTL)
             if control & TimerBits.CLEAR:
                 self._store_word(PeripheralRegisters.TAR, 0)
                 self._clear_bits_word(PeripheralRegisters.TACTL, TimerBits.CLEAR)
             self._enabled_cache = bool(control & TimerBits.ENABLE)
             self._recompute_regs_pending()
+            self._regs_dirty = False
         if not self._enabled_cache:
             return
         counter = self._read_word(PeripheralRegisters.TAR)
@@ -79,11 +100,16 @@ class TimerA(Peripheral):
         counter += elapsed_cycles
         if compare and counter >= compare:
             # Up mode: wrap to zero and raise the compare flag.
-            counter = counter % compare if compare else 0
+            counter %= compare
             self._set_bits_word(PeripheralRegisters.TACCTL0, TimerBits.CCIFG)
             if self.interrupt_enabled:
                 self._pending = True
+            self._recompute_regs_pending()
         self._store_word(PeripheralRegisters.TAR, counter & 0xFFFF)
+        # The stores above are the timer's own (counter, CLEAR bit,
+        # CCIFG) and are already folded into the cached state; only a
+        # write from outside should make the next tick re-read TACTL.
+        self._regs_dirty = False
 
     def _recompute_regs_pending(self):
         # Firmware may set CCIFG directly (or it may still be set from a

@@ -71,8 +71,10 @@ class Uart(Peripheral):
 
     # ------------------------------------------------------------ peripheral
 
-    def quiescent(self):
-        return not self._regs_dirty and not self._rx_queue
+    def idle_horizon(self):
+        if self._regs_dirty or self._rx_queue:
+            return 0
+        return None
 
     def tick(self, elapsed_cycles):
         if not self._regs_dirty and not self._rx_queue:

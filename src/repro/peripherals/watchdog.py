@@ -53,10 +53,19 @@ class Watchdog(Peripheral):
         """Reload the counter (firmware writes the clear bit on hardware)."""
         self._remaining = self.interval
 
-    def quiescent(self):
-        # Held or already expired: the countdown is frozen, so elapsed
-        # cycles are irrelevant until WDTCTL is written again.
-        return not self._regs_dirty and (self._held_cache or self._expired)
+    def idle_horizon(self):
+        if self._regs_dirty:
+            return 0
+        if self._held_cache or self._expired:
+            # Held or already expired: the countdown is frozen, so
+            # elapsed cycles are irrelevant until WDTCTL is written.
+            return None
+        # Running: every tick but the one that reaches zero only counts.
+        return max(self._remaining - 1, 0)
+
+    def advance_idle(self, cycles):
+        if not (self._held_cache or self._expired):
+            self._remaining -= cycles
 
     def tick(self, elapsed_cycles):
         if self._regs_dirty:

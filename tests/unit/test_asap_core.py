@@ -92,6 +92,68 @@ class TestIvtGuard:
         assert not IvtGuard.output_exec(IvtGuardState.NOT_EXEC)
 
 
+class TestWriteScans:
+    """Region scans on write-free bundles and on edge-straddling words."""
+
+    ER = MemoryRegion(ER_MIN, 0xE07F, "er")
+
+    def test_write_free_bundle_touches_nothing(self):
+        quiet = bundle(ER_MIN)
+        assert not quiet.writes_into(self.ER)
+        assert not quiet.dma_writes_into(self.ER)
+        assert not quiet.writes_into(IVT_REGION)
+        assert IvtGuard(IVT_REGION, ER_MIN).ivt_write_in(quiet) is None
+
+    @pytest.mark.parametrize("address, touches", [
+        (ER_MIN - 2, False),   # 0xDFFE-0xDFFF: ends just below ER
+        (ER_MIN - 1, True),    # 0xDFFF-0xE000: high byte lands in ER
+        (0xE07F, True),        # last byte of ER
+        (0xE080, False),
+    ])
+    def test_word_straddling_region_start(self, address, touches):
+        cpu = bundle(0xC000, writes=[address])
+        dma = bundle(0xC000, dma_writes=[address])
+        assert cpu.writes_into(self.ER) is touches
+        assert not cpu.dma_writes_into(self.ER)
+        assert dma.dma_writes_into(self.ER) is touches
+        assert not dma.writes_into(self.ER)
+
+    @pytest.mark.parametrize("address, touches", [
+        (IVT_BASE - 2, False),
+        (IVT_BASE - 1, True),  # 0xFFDF-0xFFE0
+        (IVT_END, True),       # 0xFFFF, wrapping to 0x0000
+    ])
+    def test_ivt_write_in_at_region_edges(self, address, touches):
+        guard = IvtGuard(IVT_REGION, ER_MIN)
+        cpu_event = guard.ivt_write_in(bundle(0xC000, writes=[address]))
+        dma_event = guard.ivt_write_in(bundle(0xC000, dma_writes=[address]))
+        if touches:
+            assert cpu_event.initiator == "cpu"
+            assert dma_event.initiator == "dma"
+            assert IVT_REGION.contains(cpu_event.address)
+            assert cpu_event.address == dma_event.address
+        else:
+            assert cpu_event is None and dma_event is None
+
+    def test_ivt_end_word_also_touches_address_zero(self):
+        write = bundle(0xC000, writes=[IVT_END])
+        assert write.writes_into(MemoryRegion(0x0000, 0x0001, "low"))
+
+    def test_advance_with_scanned_event_matches_observe(self):
+        steps = [
+            bundle(0xC000, writes=[IVT_BASE + 2]),
+            bundle(0xC000),
+            bundle(ER_MIN, writes=[IVT_END]),
+            bundle(ER_MIN),
+        ]
+        observed = IvtGuard(IVT_REGION, ER_MIN)
+        advanced = IvtGuard(IVT_REGION, ER_MIN)
+        for step in steps:
+            state = observed.observe(step)
+            assert advanced.advance(step, advanced.ivt_write_in(step)) is state
+        assert observed.events == advanced.events
+
+
 class TestAsapMonitor:
     def test_authorized_interrupt_keeps_exec(self, asap_monitor, pox_config):
         isr = pox_config.executable.region.start + 0x20
@@ -124,6 +186,17 @@ class TestAsapMonitor:
     def test_ap1_dma_write_to_ivt_clears_exec(self, asap_monitor):
         asap_monitor.observe(bundle(ER_MIN))
         asap_monitor.observe(bundle(0xC000, dma_writes=[IVT_BASE]))
+        assert asap_monitor.violations_for("ap1-ivt-modified")
+
+    def test_ivt_scanned_once_per_step(self, asap_monitor):
+        guard = asap_monitor.ivt_guard
+        scans = []
+        scan = guard.ivt_write_in
+        guard.ivt_write_in = lambda step: scans.append(step) or scan(step)
+        asap_monitor.observe(bundle(ER_MIN, writes=[IVT_BASE]))
+        asap_monitor.observe(bundle(ER_MIN + 2))
+        assert len(scans) == 2
+        assert guard.state is IvtGuardState.NOT_EXEC
         assert asap_monitor.violations_for("ap1-ivt-modified")
 
     def test_guard_signal_exported(self, asap_monitor):

@@ -112,7 +112,8 @@ class TestMain:
         rates = compare_bench.load_rates(
             compare_bench.DEFAULT_BASELINE,
             key=profile["key"], value=profile["value"])
-        assert set(rates) == {"interp-idle", "interp-memloop", "interp-attest"}
+        assert set(rates) == {"interp-idle", "interp-memloop", "interp-attest",
+                              "interp-pox-pump"}
 
 
 def _fleet_payload(loopback1, cluster2):

@@ -110,6 +110,105 @@ class TestTimerA:
         timer.tick(1)
         assert timer.counter <= 1
 
+    def test_running_tick_leaves_registers_clean(self, memory, timer):
+        # The counter store is the timer's own: it must not make the
+        # next tick re-read TACTL and recompute the pending state.
+        self.arm(memory, compare=1000)
+        for _ in range(3):
+            timer.tick(1)
+            assert not timer._regs_dirty
+        assert timer.counter == 3
+
+    def test_compare_tick_leaves_registers_clean(self, memory, timer):
+        self.arm(memory, compare=5)
+        timer.tick(5)
+        assert not timer._regs_dirty
+        assert memory.peek_word(PeripheralRegisters.TACCTL0) & TimerBits.CCIFG
+
+    def test_pending_sees_own_ccifg(self, memory, timer):
+        self.arm(memory, compare=30)
+        timer.tick(40)
+        assert not timer._regs_dirty
+        assert timer._regs_pending
+        assert timer.interrupt_pending()
+
+    def test_own_ccifg_without_ccie_is_not_pending(self, memory, timer):
+        self.arm(memory, compare=30, interrupt=False)
+        timer.tick(40)
+        assert not timer._regs_pending
+        assert not timer.interrupt_pending()
+        # Enabling CCIE afterwards exposes the latched flag.
+        memory.write_word(PeripheralRegisters.TACCTL0,
+                          TimerBits.CCIE | TimerBits.CCIFG)
+        assert timer.interrupt_pending()
+
+    def test_cpu_write_to_tar_mid_count_is_honoured(self, memory, timer):
+        self.arm(memory, compare=1000)
+        for _ in range(10):
+            timer.tick(1)
+        memory.write_word(PeripheralRegisters.TAR, 500)
+        assert timer.idle_horizon() == 0
+        timer.tick(1)
+        assert timer.counter == 501
+        assert timer.idle_horizon() == 1000 - 501 - 1
+
+    def test_cpu_write_to_taccr0_mid_count_is_honoured(self, memory, timer):
+        self.arm(memory, compare=1000)
+        for _ in range(10):
+            timer.tick(1)
+        memory.write_word(PeripheralRegisters.TACCR0, 11)
+        assert timer.idle_horizon() == 0
+        timer.tick(1)
+        assert timer.interrupt_pending()
+        assert timer.counter == 0
+
+    def test_disabled_timer_is_idle_indefinitely(self, memory, timer):
+        assert timer.idle_horizon() == 0  # reset dirtied the registers
+        timer.tick(1)
+        assert timer.idle_horizon() is None
+
+    @pytest.mark.parametrize("compare, counter, interrupt", [
+        (200, 0, True),
+        (200, 150, True),
+        (200, 198, False),
+        (7, 3, True),
+        (0, 0, True),
+        (0, 0xFFF0, False),   # free-running: wraps at 16 bits
+        (100, 99, True),      # compare due on the very next tick
+    ])
+    def test_advance_idle_equals_single_ticks(self, compare, counter, interrupt):
+        def armed():
+            memory = Memory()
+            timer = TimerA(memory)
+            timer.reset()
+            self.arm(memory, compare=compare, interrupt=interrupt)
+            timer.tick(0)
+            memory.load_word(PeripheralRegisters.TAR, counter)
+            timer.tick(0)
+            return memory, timer
+
+        memory, timer = armed()
+        horizon = timer.idle_horizon()
+        assert horizon == (0x10000 if not compare
+                           else max(compare - counter - 1, 0))
+        # Free-running: enough ticks to cross the 16-bit wrap.
+        cycles = min(horizon, 0x40)
+        timer.advance_idle(cycles)
+
+        ref_memory, reference = armed()
+        for _ in range(cycles):
+            reference.tick(1)
+
+        assert memory.dump(0x0160, 0x20) == ref_memory.dump(0x0160, 0x20)
+        assert timer.interrupt_pending() == reference.interrupt_pending()
+        assert not timer.interrupt_pending()
+        assert not timer._regs_dirty and not reference._regs_dirty
+        if compare and cycles == horizon:
+            # The horizon is tight: the next one-cycle tick fires.
+            assert timer.idle_horizon() == 0
+            timer.tick(1)
+            assert memory.peek_word(PeripheralRegisters.TACCTL0) & TimerBits.CCIFG
+
 
 class TestUart:
     @pytest.fixture
@@ -264,6 +363,87 @@ class TestWatchdog:
         assert not watchdog.expired  # the clear reloaded before the hold
         watchdog.tick(2)
         assert watchdog.expired
+
+
+class TestWatchdogIdleHorizon:
+    def running(self, memory, interval=100):
+        watchdog = Watchdog(memory, interval=interval)
+        watchdog.reset()
+        watchdog.tick(0)  # fold in the reset's register store
+        return watchdog
+
+    def test_dirty_registers_must_tick(self, memory):
+        watchdog = Watchdog(memory, interval=100)
+        watchdog.reset()
+        assert watchdog.idle_horizon() == 0
+
+    def test_held_is_idle_indefinitely(self, memory):
+        watchdog = self.running(memory)
+        memory.load_word(
+            PeripheralRegisters.WDTCTL, WatchdogBits.PASSWORD | WatchdogBits.HOLD
+        )
+        watchdog.tick(1)
+        assert watchdog.idle_horizon() is None
+        remaining = watchdog._remaining
+        watchdog.advance_idle(500)
+        assert watchdog._remaining == remaining
+        assert not watchdog.expired
+
+    @pytest.mark.parametrize("spent", [0, 37, 98])
+    def test_advance_idle_equals_single_ticks(self, spent):
+        memory, ref_memory = Memory(), Memory()
+        watchdog = self.running(memory)
+        reference = self.running(ref_memory)
+        watchdog.tick(spent)
+        reference.tick(spent)
+        horizon = watchdog.idle_horizon()
+        assert horizon == watchdog._remaining - 1
+        watchdog.advance_idle(horizon)
+        for _ in range(horizon):
+            reference.tick(1)
+        assert watchdog._remaining == reference._remaining == 1
+        assert not watchdog.expired and not reference.expired
+        assert watchdog.idle_horizon() == 0
+        watchdog.tick(1)
+        assert watchdog.expired
+
+    def test_remaining_one_must_tick(self, memory):
+        watchdog = self.running(memory)
+        watchdog.tick(99)
+        assert watchdog._remaining == 1
+        assert watchdog.idle_horizon() == 0
+
+
+class TestIdleHorizons:
+    def test_gpio_without_cycle_source_must_tick(self, port1):
+        port1.tick(1)
+        assert port1.idle_horizon() == 0
+
+    def test_gpio_with_cycle_source(self, memory, port1):
+        port1.cycle_source = lambda: 0
+        port1.tick(1)
+        assert port1.idle_horizon() is None
+        memory.load_bytes(PeripheralRegisters.P1OUT, b"\x01")
+        assert port1.idle_horizon() == 0
+
+    def test_uart_rx_queue_must_tick(self, memory):
+        uart = Uart(memory)
+        uart.reset()
+        uart.tick(1)
+        assert uart.idle_horizon() is None
+        uart.receive_byte(0x41)
+        assert uart.idle_horizon() == 0
+
+    def test_dma_transfer_must_tick(self, memory):
+        dma = DmaController(memory)
+        dma.reset()
+        dma.tick(1)
+        assert dma.idle_horizon() is None
+        dma.configure(source=0x0300, destination=0x0500, size_words=2)
+        dma.trigger()
+        assert dma.idle_horizon() == 0
+        dma.tick(1)
+        assert dma.idle_horizon() == 0  # transfer in flight
 
 
 class TestInterruptController:
