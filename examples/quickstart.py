@@ -113,11 +113,12 @@ def cluster_demo():
     graceful degradation instead of hanging -- the report shows the
     eviction, the rebalanced devices and the per-shard verdict mix.
     """
-    from repro.cluster import ClusterFleet
+    from repro.cluster import ShardedVerifierCluster
+    from repro.net import Fleet
 
     print("\n--- cluster control plane (2 shards, 8 devices) ---")
-    fleet = ClusterFleet(8, shards=2, architecture="asap",
-                         heartbeat=0.05, deadline=2.0)
+    fleet = Fleet(8, architecture="asap", deadline=2.0,
+                  cluster=ShardedVerifierCluster(shards=2, heartbeat=0.05))
     report = fleet.run(exchanges_per_device=4, mix=("ra",),
                        kill_shard="shard-0")
     print("exchanges: %d  accepted: %d  rejected: %d  timed out: %d"

@@ -110,8 +110,6 @@ _NET_EXPORTS = frozenset({
 # The cluster control plane (repro.cluster) is likewise lazy, for the
 # same reason -- and it imports repro.net itself.
 _CLUSTER_EXPORTS = frozenset({
-    "ClusterFleet",
-    "ClusterReport",
     "HashRing",
     "ShardedVerifierCluster",
     "WorkerRegistry",
@@ -208,8 +206,6 @@ __all__ = [
     "ProverEndpoint",
     "RetryPolicy",
     "VerifierService",
-    "ClusterFleet",
-    "ClusterReport",
     "HashRing",
     "ShardedVerifierCluster",
     "WorkerRegistry",

@@ -14,32 +14,25 @@ multiplex a fleet of provers; this package is the layer that makes a
 * :class:`~repro.net.rpc.RetryPolicy` (re-exported) -- bounded
   retransmission inside per-exchange deadlines, so impaired links
   degrade throughput instead of burning whole exchanges;
-* :class:`~repro.cluster.metrics.ClusterReport` +
-  :class:`~repro.cluster.metrics.BackpressureGate` -- aggregate fleet
-  metrics (verdict mix, challenge-table occupancy, retry/eviction
-  counters, p50/p99 latency) and admission control when provers outrun
-  verifiers.
+* :class:`~repro.cluster.metrics.ShardStats` +
+  :class:`~repro.cluster.metrics.BackpressureGate` -- per-shard
+  metrics (verdict mix, challenge-table occupancy, p50/p99 latency)
+  and admission control when provers outrun verifiers.
 
-:class:`~repro.cluster.fleet.ClusterFleet` ties it together:
-``ClusterFleet(32, shards=2).run()`` drives the same simulated fleet
-as :class:`~repro.net.fleet.Fleet`, routed and supervised.
+:class:`~repro.net.fleet.Fleet` drives a simulated device fleet through
+a cluster: ``Fleet(32, cluster=ShardedVerifierCluster(shards=2)).run()``
+routes, supervises and reports per shard (without ``cluster=`` a fleet
+runs against one inline shard).
 """
 
-from repro.cluster.fleet import ClusterFleet
 from repro.cluster.hashring import HashRing
-from repro.cluster.metrics import (
-    BackpressureGate,
-    ClusterReport,
-    ShardStats,
-)
+from repro.cluster.metrics import BackpressureGate, ShardStats
 from repro.cluster.registry import WorkerRecord, WorkerRegistry
 from repro.cluster.shards import ShardedVerifierCluster, VerifierShard
 from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
 
 __all__ = [
     "BackpressureGate",
-    "ClusterFleet",
-    "ClusterReport",
     "HashRing",
     "RetryPolicy",
     "RpcChannel",

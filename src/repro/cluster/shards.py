@@ -213,14 +213,22 @@ class ShardedVerifierCluster:
             heartbeat_timeout = 3 * heartbeat
         self.initial_shards = shards
         self.placement = placement
+        self.replicas = replicas
         self.heartbeat = heartbeat
         self.heartbeat_timeout = heartbeat_timeout
         self.max_inflight = max_inflight
         self.backpressure = backpressure
-        self.ring = HashRing(replicas=replicas)
-        self.registry = WorkerRegistry(heartbeat_timeout=heartbeat_timeout)
-        #: Every shard ever started, by name (evicted ones stay for
-        #: post-mortem stats, marked ``alive=False``).
+        self._monitor_task = None
+        self._started = False
+        self._reset()
+
+    def _reset(self):
+        """Empty membership: every :meth:`start` begins from scratch."""
+        self.ring = HashRing(replicas=self.replicas)
+        self.registry = WorkerRegistry(heartbeat_timeout=self.heartbeat_timeout)
+        #: Every shard of the current (or last) run, by name: evicted
+        #: and stopped ones stay for post-mortem stats until the next
+        #: :meth:`start`, marked ``alive=False``.
         self.shards: Dict[str, VerifierShard] = {}
         #: Directory of everything needed to (re-)enroll each device.
         self.enrollments: Dict[str, DeviceEnrollment] = {}
@@ -228,18 +236,14 @@ class ShardedVerifierCluster:
         self.counters: Dict[str, int] = {
             "evictions": 0, "rebalanced_devices": 0,
         }
-        #: Bumped on every membership change, so routed clients know to
-        #: re-resolve their endpoints.
-        self.generation = 0
-        self._next_index = shards
-        self._monitor_task = None
-        self._started = False
+        self._next_index = self.initial_shards
 
     # ------------------------------------------------------------ lifecycle
 
     async def start(self):
         if self._started:
             return
+        self._reset()
         self._started = True
         for index in range(self.initial_shards):
             await self.add_shard("shard-%d" % index)
@@ -247,6 +251,8 @@ class ShardedVerifierCluster:
             self._monitor_task = asyncio.ensure_future(self._monitor())
 
     async def stop(self):
+        """Stop every shard; a later :meth:`start` brings up fresh
+        shards on an empty ring with fresh counters."""
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             try:
@@ -274,7 +280,6 @@ class ShardedVerifierCluster:
         self.ring.add(name)
         self.registry.join(name, meta={"placement": self.placement,
                                        "address": shard.address})
-        self.generation += 1
         await self._rebalance()
         return shard
 
@@ -292,7 +297,6 @@ class ShardedVerifierCluster:
         self.ring.remove(name)
         self.registry.evict(name)
         self.counters["evictions"] += 1
-        self.generation += 1
         shard = self.shards.get(name)
         if shard is not None and shard.alive:
             await shard.kill()

@@ -378,20 +378,20 @@ def run_fleet_control(campaign: Optional[CampaignRunner] = None,
     """Deployment-story experiment: one verifier vs. a sharded cluster.
 
     Not a scenario campaign (*campaign* is accepted for registry-shape
-    uniformity and ignored): the fleet harnesses drive the service
-    stack directly.  One row for the single shared
-    :class:`~repro.net.fleet.Fleet` service, one for a
-    :class:`~repro.cluster.fleet.ClusterFleet` across *shards* verifier
-    shards -- same devices, same attestation-only mix -- so the table
-    shows the control plane costs nothing in verdicts while spreading
-    the challenge tables.  ``--shards`` / ``--heartbeat`` on the CLI
+    uniformity and ignored): the fleet harness drives the service
+    stack directly.  One row for a :class:`~repro.net.fleet.Fleet` on
+    its default one-shard cluster, one for the same fleet across a
+    :class:`~repro.cluster.shards.ShardedVerifierCluster` of *shards*
+    verifier shards -- same devices, same attestation-only mix -- so
+    the table shows the control plane costs nothing in verdicts while
+    spreading the challenge tables.  ``--shards`` / ``--heartbeat`` on the CLI
     land here; with a heartbeat the cluster also runs its liveness
     monitor for the duration.
     """
     del campaign  # direct harness run; see docstring
 
     def body():
-        from repro.cluster import ClusterFleet
+        from repro.cluster import ShardedVerifierCluster
         from repro.net import Fleet
 
         # Rows carry only deterministic counters: the serial-vs-process
@@ -409,9 +409,9 @@ def run_fleet_control(campaign: Optional[CampaignRunner] = None,
             "accepted": single.accepted,
             "evictions": 0,
         })
-        cluster = ClusterFleet(size=size, shards=shards,
-                               architecture="asap",
-                               heartbeat=heartbeat).run(
+        cluster = Fleet(size=size, architecture="asap",
+                        cluster=ShardedVerifierCluster(
+                            shards=shards, heartbeat=heartbeat)).run(
             exchanges_per_device=exchanges_per_device, mix=("ra",))
         rows.append({
             "topology": "cluster",

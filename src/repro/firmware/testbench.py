@@ -99,15 +99,7 @@ class TestbenchConfig:
 class PoxTestbench:
     """A ready-to-run proof-of-execution scenario."""
 
-    def __init__(self, firmware: FirmwareSpec, config: Optional[TestbenchConfig] = None,
-                 pox_verifier=None):
-        """``pox_verifier`` (optional) supplies an existing verifier to
-        provision against instead of a private one -- the fleet service
-        (:mod:`repro.net.fleet`) enrolls every device of a fleet into
-        one shared verifier this way.  It must match the configured
-        architecture (:class:`~repro.core.pox.AsapPoxVerifier` for
-        ``"asap"``, :class:`~repro.apex.pox.PoxVerifier` for ``"apex"``).
-        """
+    def __init__(self, firmware: FirmwareSpec, config: Optional[TestbenchConfig] = None):
         self.spec = firmware
         self.config = config or TestbenchConfig()
 
@@ -127,14 +119,14 @@ class PoxTestbench:
 
         if self.config.architecture == "asap":
             self.monitor = AsapMonitor(self.pox_config)
-            self.pox_verifier = pox_verifier or AsapPoxVerifier()
+            self.pox_verifier = AsapPoxVerifier()
             self.protocol = AsapPoxProtocol(
                 self.device, self.pox_verifier, self.config.device_id,
                 self.pox_config, self.monitor,
             )
         else:
             self.monitor = ApexMonitor(self.pox_config)
-            self.pox_verifier = pox_verifier or PoxVerifier()
+            self.pox_verifier = PoxVerifier()
             self.protocol = PoxProtocol(
                 self.device, self.pox_verifier, self.config.device_id,
                 self.pox_config, self.monitor,

@@ -6,8 +6,11 @@ and PoX exchanges from any number of provers over a pluggable message
 transport (in-process loopback or TCP, both with injectable
 loss/latency/reorder via :class:`LinkConditions`), a
 :class:`ProverEndpoint` wraps one simulated device, and a
-:class:`Fleet` stands up N devices and drives sustained mixed traffic
-with per-exchange deadlines.  :mod:`repro.net.remote` reuses the same
+:class:`Fleet` stands up N devices, enrolls them on a
+:class:`~repro.cluster.shards.ShardedVerifierCluster` (one inline shard
+unless the caller passes a bigger one) and drives sustained mixed
+traffic with per-exchange deadlines, folded into one
+:class:`FleetReport`.  :mod:`repro.net.remote` reuses the same
 framing for the campaign engine's ``backend="remote"`` workers.  See
 ``README.md`` ("Fleet service & remote backend") for a worked example.
 """
@@ -28,7 +31,7 @@ from repro.net.transport import (
 from repro.net.rpc import RetryPolicy, RpcChannel, RpcTimeout
 from repro.net.service import DeviceEnrollment, VerifierService, provision_enrollment
 from repro.net.prover import ExchangeResult, ProverEndpoint
-from repro.net.fleet import Fleet, FleetReport, build_prover_bench
+from repro.net.fleet import Fleet, FleetReport
 from repro.net.remote import run_remote_campaign, worker_loop
 
 __all__ = [
@@ -36,7 +39,6 @@ __all__ = [
     "DeviceEnrollment",
     "ExchangeResult",
     "allow_frame_type",
-    "build_prover_bench",
     "Fleet",
     "FleetReport",
     "LinkConditions",

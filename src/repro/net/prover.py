@@ -46,7 +46,13 @@ class ExchangeResult:
     accepted: bool = False
     reason: str = ""
     timed_out: bool = False
+    #: Refused by a backpressure gate before any message was sent.
+    shed: bool = False
     elapsed_seconds: float = 0.0
+    #: Host time spent on device work: SW-Att for RA; installing the
+    #: challenge, executing ER and attesting for PoX.  Timed at phase
+    #: boundaries, never per step, and kept when the exchange times out.
+    prover_seconds: float = 0.0
 
     def __bool__(self):
         return self.accepted
@@ -94,15 +100,18 @@ class ProverEndpoint:
 
     async def run_attestation(self, deadline: Optional[float] = None) -> ExchangeResult:
         """One complete RA exchange; never raises on timeout."""
-        return await self._with_deadline("ra", self._attestation_flow(), deadline)
+        result = ExchangeResult(kind="ra")
+        return await self._with_deadline(
+            result, self._attestation_flow(result), deadline)
 
     async def run_pox(self, deadline: Optional[float] = None,
                       max_steps: int = 20000) -> ExchangeResult:
         """One complete PoX exchange (APEX or ASAP per the protocol)."""
         if self.protocol is None:
             raise RuntimeError("this endpoint has no PoX protocol attached")
-        kind = self.protocol.architecture
-        return await self._with_deadline(kind, self._pox_flow(max_steps), deadline)
+        result = ExchangeResult(kind=self.protocol.architecture)
+        return await self._with_deadline(
+            result, self._pox_flow(result, max_steps), deadline)
 
     async def stats(self) -> dict:
         """Fetch the service-side counters."""
@@ -113,23 +122,26 @@ class ProverEndpoint:
 
     # ------------------------------------------------------------ flows
 
-    async def _with_deadline(self, kind, flow, deadline) -> ExchangeResult:
+    async def _with_deadline(self, result, flow, deadline) -> ExchangeResult:
+        """Run *flow* under the deadline; fold its outcome into *result*
+        (which the flow has been charging its device time to)."""
         started = time.perf_counter()
         try:
             if deadline is not None:
-                result = await asyncio.wait_for(flow, timeout=deadline)
+                outcome = await asyncio.wait_for(flow, timeout=deadline)
             else:
-                result = await flow
+                outcome = await flow
         except asyncio.TimeoutError as error:
             # Either the outer deadline fired, or (with no deadline set)
             # a bounded retry schedule was exhausted and RpcTimeout --
             # an asyncio.TimeoutError subclass -- surfaced here.
-            reason = ("deadline of %.3fs exceeded" % deadline
-                      if deadline is not None
-                      else (str(error) or "retry attempts exhausted"))
-            result = ExchangeResult(kind=kind, timed_out=True, reason=reason)
+            result.timed_out = True
+            result.reason = ("deadline of %.3fs exceeded" % deadline
+                             if deadline is not None
+                             else (str(error) or "retry attempts exhausted"))
         else:
-            result.kind = kind
+            result.accepted = outcome.accepted
+            result.reason = outcome.reason
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -154,19 +166,22 @@ class ProverEndpoint:
         return ExchangeResult(kind="", accepted=reply["accepted"],
                               reason=reply["reason"])
 
-    async def _attestation_flow(self) -> ExchangeResult:
+    async def _attestation_flow(self, result) -> ExchangeResult:
         challenge, failure = await self._request_challenge()
         if failure is not None:
             return failure
+        started = time.perf_counter()
         report = self.swatt.measure(self.device.memory, challenge,
                                     self.attested_regions)
+        result.prover_seconds += time.perf_counter() - started
         return await self._submit("ra", report)
 
-    async def _pox_flow(self, max_steps) -> ExchangeResult:
+    async def _pox_flow(self, result, max_steps) -> ExchangeResult:
         challenge, failure = await self._request_challenge()
         if failure is not None:
             return failure
         protocol = self.protocol
+        started = time.perf_counter()
         protocol.install_challenge(challenge)
         # The simulated execution is synchronous CPU work; it yields no
         # awaits, so a fleet's executions serialise while its network
@@ -174,4 +189,5 @@ class ProverEndpoint:
         # silicon per event loop.
         protocol.call_executable(max_steps=max_steps)
         report = protocol.attest()
+        result.prover_seconds += time.perf_counter() - started
         return await self._submit(protocol.architecture, report)

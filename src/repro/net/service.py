@@ -317,10 +317,9 @@ class VerifierService:
             # ages out of the bounded table via the TTL.
             pass
 
-    async def listen_tcp(self, host="127.0.0.1", port=0, conditions=None):
+    async def listen_tcp(self, host="127.0.0.1", port=0):
         """Serve over TCP; returns the ``asyncio.Server``."""
-        return await open_tcp_listener(self.serve, host=host, port=port,
-                                       conditions=conditions)
+        return await open_tcp_listener(self.serve, host=host, port=port)
 
 
 @register_global_collector

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import io
-import itertools
 import pickle
 import random
 import struct
@@ -365,10 +364,10 @@ class StreamTransport(MessageTransport):
     """Pickled, length-prefixed messages over an asyncio stream pair."""
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                 conditions: Optional[LinkConditions] = None, seed_offset=0):
+                 conditions: Optional[LinkConditions] = None):
         self._reader = reader
         self._writer = writer
-        self._impair = _Impairments(conditions, seed_offset)
+        self._impair = _Impairments(conditions)
         self._send_lock = asyncio.Lock()
         self._closed = False
         #: Length of a frame whose header was read but whose payload was
@@ -434,22 +433,16 @@ class StreamTransport(MessageTransport):
             pass
 
 
-async def open_tcp_listener(handler, host="127.0.0.1", port=0,
-                            conditions: Optional[LinkConditions] = None):
+async def open_tcp_listener(handler, host="127.0.0.1", port=0):
     """Start a TCP server; ``await handler(StreamTransport)`` per client.
 
     Returns the ``asyncio.Server``; its bound address is
-    ``server.sockets[0].getsockname()``.
+    ``server.sockets[0].getsockname()``.  Link impairments, if any, are
+    the connecting side's (:func:`open_tcp_transport`).
     """
 
-    connection_count = itertools.count()
-
     async def on_connect(reader, writer):
-        # Distinct seed offsets per connection: impairments must be
-        # independent across a fleet's links, or one unlucky loss
-        # pattern strikes every prover in lockstep.
-        transport = StreamTransport(reader, writer, conditions,
-                                    seed_offset=2 * next(connection_count) + 1)
+        transport = StreamTransport(reader, writer)
         try:
             await handler(transport)
         finally:
@@ -463,4 +456,4 @@ async def open_tcp_transport(host, port,
                              ) -> StreamTransport:
     """Connect to a listener started by :func:`open_tcp_listener`."""
     reader, writer = await asyncio.open_connection(host, port)
-    return StreamTransport(reader, writer, conditions, seed_offset=0)
+    return StreamTransport(reader, writer, conditions)

@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` holds every instrument the process reports
 through -- :class:`Counter` (monotonic), :class:`Gauge` (point-in-time)
 and :class:`Histogram` (fixed buckets plus a bounded sample window for
 p50/p95/p99) -- under consistent dotted names (``engine.interp.instances``,
-``store.hits``, ``cluster.shard-0.shed``).  Instruments are created
+``store.hits``, ``fleet.shard-0.shed``).  Instruments are created
 get-or-create by name+labels, are thread-safe, and cost one lock-guarded
 integer add when touched, so they are cheap enough for per-scenario and
 per-exchange paths.  They are deliberately **not** cheap enough for the

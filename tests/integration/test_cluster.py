@@ -9,6 +9,8 @@ The acceptance bars pinned here:
   shard is evicted, its devices re-enroll on the survivor (in-flight
   exchanges complete there or fail closed) and the run still drains;
 * the backpressure gate sheds or delays visibly, never silently;
+* a fleet runs repeatedly, and each report counts its own run only;
+* the shard count changes routing, never what a device executes;
 * enrollment over the wire is refused unless the shard opted in.
 """
 
@@ -16,11 +18,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import (
-    ClusterFleet,
-    RetryPolicy,
-    ShardedVerifierCluster,
-)
+from repro.cluster import RetryPolicy, ShardedVerifierCluster
 from repro.net import Fleet, LinkConditions, VerifierService, loopback_pair
 
 #: The pinned lossy link: 20% loss, deterministic seed.
@@ -61,14 +59,13 @@ class TestRetriesUnderLoss:
         with pytest.raises(ValueError, match="retry"):
             Fleet(2, conditions=LOSSY)  # no deadline, no retry
         with pytest.raises(ValueError, match="retry"):
-            ClusterFleet(2, conditions=LOSSY,
-                         retry=RetryPolicy(max_attempts=None))
+            Fleet(2, conditions=LOSSY, retry=RetryPolicy(max_attempts=None),
+                  cluster=ShardedVerifierCluster(shards=2))
 
     def test_cluster_fleet_with_retries_survives_loss(self):
-        fleet = ClusterFleet(4, shards=2, architecture="asap",
-                             conditions=LOSSY,
-                             retry=RetryPolicy(max_attempts=8,
-                                               base_timeout=0.03))
+        fleet = Fleet(4, architecture="asap", conditions=LOSSY,
+                      retry=RetryPolicy(max_attempts=8, base_timeout=0.03),
+                      cluster=ShardedVerifierCluster(shards=2))
         report = fleet.run(exchanges_per_device=2, mix=("ra",))
         assert report.all_accepted()
         assert report.retransmits > 0
@@ -76,7 +73,8 @@ class TestRetriesUnderLoss:
 
 class TestShardedCluster:
     def test_two_shard_fleet_routes_and_accepts(self):
-        fleet = ClusterFleet(8, shards=2, architecture="asap")
+        fleet = Fleet(8, architecture="asap",
+                      cluster=ShardedVerifierCluster(shards=2))
         report = fleet.run(exchanges_per_device=2, mix=("ra", "pox"))
         assert report.exchanges == 16
         assert report.all_accepted()
@@ -96,8 +94,8 @@ class TestShardedCluster:
         # must evict it, the ring must re-home its devices, and every
         # remaining exchange must complete on the survivor or fail
         # closed -- the run itself always drains.
-        fleet = ClusterFleet(8, shards=2, architecture="asap",
-                             heartbeat=0.05, deadline=2.0)
+        fleet = Fleet(8, architecture="asap", deadline=2.0,
+                      cluster=ShardedVerifierCluster(shards=2, heartbeat=0.05))
         victim = "shard-0"
         report = fleet.run(exchanges_per_device=4, mix=("ra",),
                            kill_shard=victim)
@@ -147,10 +145,62 @@ class TestShardedCluster:
         assert set(placement.values()) == {"shard-0", "shard-late"}
 
 
+class TestRepeatedRuns:
+    def test_default_cluster_fleet_runs_twice(self):
+        fleet = Fleet(3, architecture="asap")
+        for _ in range(2):
+            report = fleet.run(exchanges_per_device=2)
+            assert report.exchanges == 6 and report.all_accepted()
+            assert report.retransmits == 0
+            assert report.service_counters["challenges"] == report.exchanges
+            assert report.pending_challenges_after == 0
+
+    def test_lossy_two_shard_fleet_runs_twice(self):
+        # Reply windows far above a loopback round trip, so only the
+        # seeded losses cause retransmits and both runs see the same.
+        fleet = Fleet(4, architecture="asap", conditions=LOSSY,
+                      retry=RetryPolicy(max_attempts=8, base_timeout=0.25),
+                      cluster=ShardedVerifierCluster(shards=2))
+        first = fleet.run(exchanges_per_device=2, mix=("ra",))
+        second = fleet.run(exchanges_per_device=2, mix=("ra",))
+        for report in (first, second):
+            assert report.exchanges == 8 and report.all_accepted()
+            assert report.shard_count == 2
+            assert report.service_counters["challenges"] == report.exchanges
+            assert report.service_counters["duplicates"] <= report.retransmits
+            assert report.pending_challenges_after == 0
+        assert second.retransmits == first.retransmits > 0
+
+
+class TestShardCountInvariance:
+    def test_devices_run_identically_on_one_or_two_shards(self):
+        def drive(cluster):
+            fleet = Fleet(6, architecture="asap", cluster=cluster)
+            report = fleet.run(exchanges_per_device=4)
+            devices = [bench.device for bench in fleet.benches]
+            return report, devices
+
+        one, one_devices = drive(None)
+        two, two_devices = drive(ShardedVerifierCluster(shards=2))
+        assert one.shard_count == 1 and two.shard_count == 2
+        assert len([s for s in two.shards if s.exchanges]) == 2
+        for report in (one, two):
+            assert report.exchanges == 24 and report.all_accepted()
+        # Results are per device in exchange order, so equal sequences
+        # mean every device saw the same verdicts in the same order.
+        assert ([(r.kind, r.accepted, r.timed_out) for r in one.results]
+                == [(r.kind, r.accepted, r.timed_out) for r in two.results])
+        assert ([device.step_number for device in one_devices]
+                == [device.step_number for device in two_devices])
+        assert ([device.trace.total_cycles for device in one_devices]
+                == [device.trace.total_cycles for device in two_devices])
+
+
 class TestBackpressure:
     def test_shed_mode_refuses_overload_visibly(self):
-        fleet = ClusterFleet(6, shards=1, architecture="asap",
-                             max_inflight=1, backpressure="shed")
+        fleet = Fleet(6, architecture="asap",
+                      cluster=ShardedVerifierCluster(
+                          shards=1, max_inflight=1, backpressure="shed"))
         report = fleet.run(exchanges_per_device=2, mix=("ra",))
         # Six concurrent devices against a one-slot gate: most attempts
         # shed, every admitted exchange accepted, and the shedding is
@@ -161,8 +211,9 @@ class TestBackpressure:
         assert sum(stats.shed for stats in report.shards) == report.shed
 
     def test_delay_mode_completes_everything(self):
-        fleet = ClusterFleet(6, shards=1, architecture="asap",
-                             max_inflight=2, backpressure="delay")
+        fleet = Fleet(6, architecture="asap",
+                      cluster=ShardedVerifierCluster(
+                          shards=1, max_inflight=2, backpressure="delay"))
         report = fleet.run(exchanges_per_device=2, mix=("ra",))
         assert report.exchanges == 12
         assert report.all_accepted()

@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.cluster import ShardedVerifierCluster
 from repro.firmware.blinker import blinker_firmware
 from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.net import (
@@ -20,6 +21,7 @@ from repro.net import (
     ProverEndpoint,
     VerifierService,
     loopback_pair,
+    provision_enrollment,
 )
 from repro.vrased.swatt import AttestationReport
 
@@ -30,17 +32,12 @@ def run(coroutine):
 
 def make_prover(service, device_id="prover-0001", architecture="asap",
                 conditions=None):
-    """One provisioned testbench device connected over loopback."""
-    shared = service.asap if architecture == "asap" else service.apex
+    """One testbench device, enrolled in *service*, over loopback."""
     bench = PoxTestbench(
         blinker_firmware(authorized=True),
         TestbenchConfig(architecture=architecture, device_id=device_id),
-        pox_verifier=shared,
     )
-    service.verifier.set_reference(device_id, [
-        (bench.device.layout.program,
-         bench.device.memory.dump_region(bench.device.layout.program)),
-    ])
+    service.apply_enrollment(provision_enrollment(bench))
     client, server_side = loopback_pair(conditions)
     prover = ProverEndpoint(device_id, bench.device, bench.protocol.device_key,
                             client, protocol=bench.protocol)
@@ -267,9 +264,15 @@ class TestConcurrentExchanges:
         assert report.per_kind["ra"] == 12 and report.per_kind["asap"] == 12
         assert report.pending_challenges_after == 0
         assert report.service_counters["accepted"] == 24
+        # Every exchange charged its device work, and that work, run on
+        # the one event loop, fits inside the run's wall time.
+        assert all(result.prover_seconds > 0 for result in report.results)
+        assert 0 < report.prover_seconds < report.elapsed_seconds
 
     def test_fleet_over_tcp_socket_pairs(self):
-        fleet = Fleet(3, architecture="apex", transport="tcp")
+        # A process-placed shard serves its provers over real TCP.
+        fleet = Fleet(3, architecture="apex", cluster=ShardedVerifierCluster(
+            shards=1, placement="process"))
         report = fleet.run(exchanges_per_device=2)
         assert report.exchanges == 6 and report.all_accepted()
         assert report.pending_challenges_after == 0
@@ -283,8 +286,8 @@ class TestConcurrentExchanges:
     def test_invalid_fleet_parameters_rejected(self):
         with pytest.raises(ValueError, match="size"):
             Fleet(0)
-        with pytest.raises(ValueError, match="transport"):
-            Fleet(1, transport="carrier-pigeon")
+        with pytest.raises(ValueError, match="mix"):
+            Fleet(1).run(exchanges_per_device=1, mix=("ra", "carrier-pigeon"))
 
     def test_lossy_conditions_without_deadline_rejected(self):
         # No retry layer exists, so a lossy link with no per-exchange

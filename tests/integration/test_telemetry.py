@@ -9,14 +9,15 @@ The satellites pinned here:
   exported campaign rows are byte-identical with and without it;
 * the acceptance snapshot: after store-backed campaign traffic and a
   2-shard cluster run, **one** registry snapshot carries the engine,
-  decode-cache, store, service, campaign and cluster families under
+  decode-cache, store, service, campaign and fleet families under
   their consistent dotted names.
 """
 
 import json
 
-from repro.cluster import ClusterFleet
+from repro.cluster import ShardedVerifierCluster
 from repro.experiments.__main__ import main
+from repro.net import Fleet
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -113,7 +114,7 @@ class TestAcceptanceSnapshot:
             assert warm.store_hits == 2
             # A 2-shard cluster run: engine, cache and service gauges
             # all publish through their collectors.
-            fleet = ClusterFleet(2, shards=2)
+            fleet = Fleet(2, cluster=ShardedVerifierCluster(shards=2))
             report = fleet.run(exchanges_per_device=2)
             assert report.all_accepted()
             snapshot = get_registry().snapshot()
@@ -136,8 +137,8 @@ class TestAcceptanceSnapshot:
         # service.*: the shard verifier services.
         assert gauges["service.instances"] >= 2
         assert gauges["service.challenges"] > 0
-        # cluster.*: the folded report and its per-shard slices.
-        assert gauges["cluster.exchanges"] == report.exchanges
-        assert gauges["cluster.shard-0.shed"] == 0
-        assert gauges["cluster.shard-0.alive"] == 1
-        assert gauges["cluster.shard_count"] == 2
+        # fleet.*: the folded report and its per-shard slices.
+        assert gauges["fleet.exchanges"] == report.exchanges
+        assert gauges["fleet.shard-0.shed"] == 0
+        assert gauges["fleet.shard-0.alive"] == 1
+        assert gauges["fleet.shard_count"] == 2

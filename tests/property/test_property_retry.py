@@ -18,6 +18,7 @@ import asyncio
 from hypothesis import given, settings, strategies as st
 
 from repro.firmware.blinker import blinker_firmware
+from repro.firmware.testbench import PoxTestbench, TestbenchConfig
 from repro.net import (
     LinkConditions,
     ProverEndpoint,
@@ -26,12 +27,12 @@ from repro.net import (
     loopback_pair,
     provision_enrollment,
 )
-from repro.net.fleet import build_prover_bench
 
 #: One shared prover bench: device state is read-only for RA, so every
 #: example can re-enroll it into a fresh service.
-_BENCH = build_prover_bench(blinker_firmware(authorized=True), "asap",
-                            "prover-prop")
+_BENCH = PoxTestbench(blinker_firmware(authorized=True),
+                      TestbenchConfig(architecture="asap",
+                                      device_id="prover-prop"))
 _ENROLLMENT = provision_enrollment(_BENCH)
 
 #: Generous per-exchange bound: orders of magnitude above the expected

@@ -2,7 +2,7 @@
 
 The registry (membership + liveness with an injected clock), the
 consistent-hash ring (deterministic placement, ~1/N movement on
-membership change), the latency histogram / report containers and the
+membership change), the latency histogram / fleet report containers and the
 backpressure gate -- everything here is plain bookkeeping, exercised
 without sockets or event loops (except the gate, which is an asyncio
 semaphore by construction).
@@ -13,11 +13,9 @@ import asyncio
 import pytest
 
 from repro.cluster import HashRing, WorkerRegistry
-from repro.cluster.metrics import (
-    BackpressureGate,
-    ClusterReport,
-    ShardStats,
-)
+from repro.cluster.metrics import BackpressureGate, ShardStats
+from repro.net.fleet import FleetReport
+from repro.net.prover import ExchangeResult
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 
@@ -236,9 +234,9 @@ class TestBackpressureGate:
             BackpressureGate(max_inflight=0)
 
 
-class TestClusterReport:
+class TestFleetReport:
     def test_all_accepted_requires_traffic(self):
-        report = ClusterReport(fleet_size=4, shard_count=2)
+        report = FleetReport(fleet_size=4, shard_count=2)
         assert not report.all_accepted()  # zero exchanges is not success
         report.exchanges = report.accepted = 8
         assert report.all_accepted()
@@ -247,18 +245,18 @@ class TestClusterReport:
         assert not report.all_accepted()
 
     def test_shard_lookup(self):
-        report = ClusterReport(fleet_size=1, shard_count=1,
-                               shards=[ShardStats(shard="shard-0")])
+        report = FleetReport(fleet_size=1, shard_count=1,
+                             shards=[ShardStats(shard="shard-0")])
         assert report.shard("shard-0").shard == "shard-0"
         assert report.shard("missing") is None
 
     def test_exchange_rate(self):
-        report = ClusterReport(fleet_size=1, shard_count=1,
-                               exchanges=10, elapsed_seconds=2.0)
+        report = FleetReport(fleet_size=1, shard_count=1,
+                             exchanges=10, elapsed_seconds=2.0)
         assert report.exchanges_per_second == 5.0
 
     def test_publish_projects_report_into_registry(self):
-        report = ClusterReport(
+        report = FleetReport(
             fleet_size=4, shard_count=2, exchanges=16, accepted=14,
             rejected=1, timed_out=1, shed=3, delayed=2,
             per_kind={"ra": 8, "pox": 8},
@@ -269,9 +267,26 @@ class TestClusterReport:
         report.publish(registry)
         snapshot = registry.snapshot()
         gauges = snapshot["gauges"]
-        assert gauges["cluster.exchanges"] == 16
-        assert gauges["cluster.shed"] == 3
-        assert gauges["cluster.per_kind.pox"] == 8
-        assert gauges["cluster.shard-0.shed"] == 3
-        assert gauges["cluster.shard-0.p50_seconds"] == 0.5
-        assert gauges["cluster.shard-1.alive"] == 0
+        assert gauges["fleet.exchanges"] == 16
+        assert gauges["fleet.shed"] == 3
+        assert gauges["fleet.per_kind.pox"] == 8
+        assert gauges["fleet.pending_challenges_after"] == 1
+        assert gauges["fleet.shard-0.shed"] == 3
+        assert gauges["fleet.shard-0.p50_seconds"] == 0.5
+        assert gauges["fleet.shard-1.alive"] == 0
+
+    def test_shard_sums(self):
+        # Challenge tables and service counters are per shard; the
+        # report's figures are their sums.
+        report = FleetReport(
+            fleet_size=2, shard_count=2,
+            shards=[ShardStats(shard="shard-0", pending_challenges=2,
+                               service_counters={"challenges": 5,
+                                                 "duplicates": 1}),
+                    ShardStats(shard="shard-1", pending_challenges=1,
+                               service_counters={"challenges": 3})],
+            results=[ExchangeResult(kind="ra", prover_seconds=0.25),
+                     ExchangeResult(kind="asap", prover_seconds=0.5)])
+        assert report.pending_challenges_after == 3
+        assert report.service_counters == {"challenges": 8, "duplicates": 1}
+        assert report.prover_seconds == 0.75

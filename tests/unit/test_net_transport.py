@@ -203,6 +203,17 @@ class TestRestrictedDecoding:
                 "import sys; sys.exit(0 if Fleet.__name__ == 'Fleet' else 1)")
         result = subprocess.run([sys.executable, "-c", code])
         assert result.returncode == 0
+        # repro.cluster imports repro.net and repro.net's Fleet drives a
+        # cluster: whichever package a fresh interpreter imports first,
+        # both must come up whole.
+        for code in ("import repro.cluster; import repro.net; "
+                     "repro.net.Fleet(1)",
+                     "import repro.net; import repro.cluster; "
+                     "repro.cluster.ShardedVerifierCluster(shards=1)",
+                     "from repro.net import Fleet; Fleet(1).cluster"):
+            result = subprocess.run([sys.executable, "-c", code],
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, (code, result.stderr)
 
 
 class TestTcpTransport:
